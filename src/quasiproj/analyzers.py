@@ -5,6 +5,11 @@ pairing of f with the rescaled functional, normalized so that the operator
 sum uses synthesis atoms m^{j/2} phi(M^j x + k).  Every catalog functional has
 a direct classical formula (point value, derivative value, local average), so
 no limit construction is needed for evaluation.
+
+`analyze` is the one coefficient primitive.  It takes a single site or an
+(n, d) array of sites; point kinds make one signal call over all sites, and
+integral kinds share one tensor Gauss rule per order and one convergence
+test across the sites.
 """
 
 from dataclasses import dataclass, field
@@ -12,11 +17,11 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (DerivativeUnavailable, InvalidParams, UnsupportedInput,
-                     UnsupportedMatrix)
+from .errors import (DerivativeUnavailable, InvalidParams, QuadratureFailure,
+                     UnsupportedInput, UnsupportedMatrix)
 from .generators import Generator
 from .lattice import DilationMatrix
-from .quadrature import gauss_nodes_box
+from .quadrature import MAX_BLOCK, gauss_nodes_box
 from .functions import TestFunction
 
 KINDS = ("Dirac", "DiracDerivative", "BoxAverage", "MixedTensor", "KernelL1",
@@ -106,46 +111,48 @@ def alpha_bound(a: AnalysisFunctional, M: DilationMatrix) -> float:
 
 
 def analyze(f: TestFunction, a: AnalysisFunctional, M: DilationMatrix,
-            j: int, k) -> complex:
-    """Coefficient of f at level j and lattice site k.
+            j: int, k):
+    """Coefficients of f at level j on lattice sites k.
 
+    k is one site, shape (d,) (a scalar in 1-D), giving a complex, or an
+    (n, d) site array, giving an (n,) array; one site is a batch of one.
     Normalization: the operator is sum_k analyze(f,...,j,k) m^{j/2} phi(M^j x + k).
     """
-    k = np.atleast_1d(np.asarray(k, dtype=float))
-    if k.shape[0] != a.dim:
-        raise InvalidParams(f"lattice point {k} incompatible with dim {a.dim}")
+    k = np.asarray(k, dtype=float)
+    single = k.ndim <= 1
+    sites = np.atleast_1d(k)[None, :] if single else k
+    if sites.ndim != 2 or sites.shape[1] != a.dim:
+        raise InvalidParams(
+            f"lattice sites of shape {k.shape} incompatible with dim {a.dim}")
+    vals = M.det_abs ** (-j / 2.0) * _pairings(f, a, M, j, sites)
+    return complex(vals[0]) if single else vals
+
+
+def _pairings(f, a, M, j, sites):
+    """Unscaled pairings <f(M^{-j} .), phi~(. + k)> for the rows k of sites."""
     Minv_j = M.power(-j)
-    scale = M.det_abs ** (-j / 2.0)
+    x = -(sites @ Minv_j.T)  # the sample points -M^{-j} k
     if a.kind == "Dirac":
-        return scale * _point_value(f, -(Minv_j @ k))
+        return np.asarray(f.spatial(x), dtype=complex)
     if a.kind == "DiracDerivative":
-        return scale * _derivative_term(f, a.beta, M, j, k)
+        return _derivative_term(f, a.beta, M, j, x)
     if a.kind == "DiracPlusDerivative":
-        return scale * (_point_value(f, -(Minv_j @ k))
-                        + _derivative_term(f, a.beta, M, j, k))
+        return (np.asarray(f.spatial(x), dtype=complex)
+                + _derivative_term(f, a.beta, M, j, x))
+    if a.kind == "KernelL1":
+        # piecewise over half-integer knot cells: spline-type kernels are
+        # smooth on each cell, so the doubling rule converges there
+        axes = list(range(a.dim))
+        return sum(_adaptive_box(f, Minv_j, sites, cell, axes, a.kernel)
+                   for cell in _knot_cells(a.kernel.spatial_support))
     if a.kind == "BoxAverage":
-        box = np.array([[-0.5, 0.5]] * a.dim)
-        return scale * _box_integral(f, Minv_j, k, box, axes=None)
-    if a.kind == "MixedTensor":
-        avg = tuple(i for i, tag in enumerate(a.axes) if tag == "BoxAverage")
+        avg = list(range(a.dim))
+    else:  # MixedTensor
+        avg = [i for i, tag in enumerate(a.axes) if tag == "BoxAverage"]
         if not avg:
-            return scale * _point_value(f, -(Minv_j @ k))
-        box = np.array([[-0.5, 0.5]] * len(avg))
-        return scale * _box_integral(f, Minv_j, k, box, axes=avg)
-    # KernelL1: integrate f(M^{-j} (t - k)) against the kernel over its support
-    kern = a.kernel
-    supp = kern.spatial_support
-
-    def integrand(t):
-        vals = f.spatial(np.asarray((t - k) @ Minv_j.T))
-        return np.asarray(vals) * np.conj(np.asarray(kern.spatial(t)))
-
-    # piecewise over half-integer knot cells: spline-type kernels are smooth
-    # on each cell, so the doubling rule converges there
-    total = 0.0 + 0.0j
-    for cell in _knot_cells(supp):
-        total += _adaptive_box(integrand, cell)
-    return scale * total
+            return np.asarray(f.spatial(x), dtype=complex)
+    return _adaptive_box(f, Minv_j, sites, np.array([[-0.5, 0.5]] * len(avg)),
+                         avg)
 
 
 def _knot_cells(box):
@@ -158,14 +165,10 @@ def _knot_cells(box):
     return [np.array(cell) for cell in itertools.product(*edges)]
 
 
-def _point_value(f, x):
-    return complex(np.asarray(f.spatial(np.atleast_1d(x)[None, :]),
-                              dtype=complex)[0])
-
-
-def _derivative_term(f, beta, M, j, k):
+def _derivative_term(f, beta, M, j, x):
     # <f(M^{-j}.), D^beta delta(. + k)> = (-1)^[beta] D^beta[f(M^{-j}.)](-k);
-    # the chain rule contributes prod m_v^{-j beta_v} for diagonal M.
+    # the chain rule contributes prod m_v^{-j beta_v} for diagonal M, and
+    # x holds the points -M^{-j} k.
     if not (M.is_diagonal() or M.isotropic):
         raise UnsupportedMatrix(
             "derivative analyzers support only diagonal or isotropic dilations")
@@ -179,36 +182,36 @@ def _derivative_term(f, beta, M, j, k):
         raise DerivativeUnavailable(str(exc)) from exc
     diag = np.abs(np.diag(M.entries))
     chain = float(np.prod(diag ** (-j * np.asarray(beta, dtype=float))))
-    x = -(M.power(-j) @ k)
-    val = np.asarray(df(x.reshape(1, -1)))[0]
-    return (-1) ** sum(beta) * chain * val
+    return (-1) ** sum(beta) * chain * np.asarray(df(x))
 
 
-def _box_integral(f, Minv_j, k, box, axes):
-    """integral over the unit box (selected axes) of f(M^{-j} (t - k)) dt."""
-    dim = k.shape[0]
+def _adaptive_box(f, Minv_j, sites, box, axes, kernel=None, tol=_BOX_TOL,
+                  cap=512):
+    """Integrals over t in box of f(M^{-j} (t - k)), times conj(kernel(t))
+    when a kernel is given, one per site k (the rows of sites); t spans the
+    listed axes and is 0 in the others.
 
-    def integrand(t):
-        full = np.tile(np.zeros(dim), (t.shape[0], 1))
-        if axes is None:
-            full = t
-        else:
-            for pos, ax in enumerate(axes):
-                full[:, ax] = t[:, pos]
-        return np.asarray(f.spatial((full - k) @ Minv_j.T))
-
-    return _adaptive_box(integrand, box)
-
-
-def _adaptive_box(integrand, box, tol=_BOX_TOL, cap=512):
+    Orders double until the largest change over all sites is within tol.
+    Each order evaluates f on sites x nodes in blocks of at most MAX_BLOCK
+    entries.
+    """
     order = 8
     prev = None
     while order <= cap:
         nodes, w = gauss_nodes_box(box, order)
-        val = np.dot(integrand(nodes), w)
-        if prev is not None and abs(val - prev) <= tol:
-            return complex(val)
+        t = np.zeros((w.shape[0], sites.shape[1]))
+        t[:, axes] = nodes
+        kw = 1.0 if kernel is None else np.conj(np.asarray(kernel.spatial(t)))
+        step = max(1, MAX_BLOCK // w.shape[0])
+        val = []
+        for i in range(0, sites.shape[0], step):
+            block = sites[i:i + step]
+            pts = (t[None, :, :] - block[:, None, :]) @ Minv_j.T
+            vals = np.asarray(f.spatial(pts.reshape(-1, t.shape[1])))
+            val.append(vals.reshape(block.shape[0], -1) * kw @ w)
+        val = np.concatenate(val)
+        if prev is not None and np.max(np.abs(val - prev)) <= tol:
+            return val.astype(complex)
         prev = val
         order *= 2
-    from .errors import QuadratureFailure
     raise QuadratureFailure(f"analyzer box integral not converged at order {cap}")

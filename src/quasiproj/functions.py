@@ -14,7 +14,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InvalidParams, QuadratureFailure, UnsupportedInput
-from .quadrature import as_points, gauss_nodes_box
+from .quadrature import as_points, fourier_sum, gauss_nodes_box
 
 
 @dataclass
@@ -27,7 +27,6 @@ class TestFunction:
     fourier: Optional[Callable] = None
     fourier_support: Optional[np.ndarray] = None
     derivatives: dict = field(default_factory=dict)
-    smoothness_tag: str = ""
 
     def __call__(self, x):
         pts, scalar = as_points(x, self.dim)
@@ -76,7 +75,7 @@ class _ProfileQuadrature:
             for box in self.boxes:
                 nodes, w = gauss_nodes_box(box, order)
                 ph = np.asarray(self.profile(nodes), dtype=complex) * w
-                vals = vals + np.exp(2j * np.pi * (pts @ nodes.T)) @ ph
+                vals = vals + fourier_sum(pts, nodes, ph)
             if prev is not None and np.max(np.abs(vals - prev)) <= self.tol:
                 with self._lock:
                     if self._order is None or order > self._order:
@@ -99,8 +98,8 @@ def _split_at_origin(support):
     return [np.array(combo) for combo in itertools.product(*pieces)]
 
 
-def from_profile(name, dim, profile, support, smoothness_tag="",
-                 derivative_orders=(), split_origin=False):
+def from_profile(name, dim, profile, support, derivative_orders=(),
+                 split_origin=False):
     """Build a TestFunction from a compactly supported Fourier profile.
 
     The spatial evaluator is adaptive quadrature of the profile; derivative
@@ -122,8 +121,7 @@ def from_profile(name, dim, profile, support, smoothness_tag="",
 
         derivs[beta] = _ProfileQuadrature(dprofile, support)
     return TestFunction(name=name, dim=dim, spatial=spatial, fourier=profile,
-                        fourier_support=support, derivatives=derivs,
-                        smoothness_tag=smoothness_tag)
+                        fourier_support=support, derivatives=derivs)
 
 
 # -- catalog ----------------------------------------------------------------
@@ -161,7 +159,7 @@ def gaussian(dim: int = 1) -> TestFunction:
     support = np.array([[-9.0, 9.0]] * dim)
     return TestFunction(name="gaussian", dim=dim, spatial=spatial,
                         fourier=spatial, fourier_support=support,
-                        derivatives=derivs, smoothness_tag="analytic")
+                        derivatives=derivs)
 
 
 def band_bump(rho: float = 0.4, dim: int = 1) -> TestFunction:
@@ -178,10 +176,8 @@ def band_bump(rho: float = 0.4, dim: int = 1) -> TestFunction:
         return np.prod(out, axis=-1)
 
     support = np.array([[-rho, rho]] * dim)
-    f = from_profile(f"band_bump({rho:g})", dim, profile, support,
-                     smoothness_tag="analytic bandlimited",
-                     derivative_orders=_multi_indices(dim, 2))
-    return f
+    return from_profile(f"band_bump({rho:g})", dim, profile, support,
+                        derivative_orders=_multi_indices(dim, 2))
 
 
 def hat_tensor(dim: int = 1) -> TestFunction:
@@ -194,7 +190,7 @@ def hat_tensor(dim: int = 1) -> TestFunction:
         return np.prod(np.sinc(pts) ** 2, axis=-1)
 
     return TestFunction(name="hat", dim=dim, spatial=spatial, fourier=fourier,
-                        fourier_support=None, smoothness_tag="C0")
+                        fourier_support=None)
 
 
 def sinc_tensor(dim: int = 1) -> TestFunction:
@@ -208,8 +204,7 @@ def sinc_tensor(dim: int = 1) -> TestFunction:
 
     support = np.array([[-0.5, 0.5]] * dim)
     return TestFunction(name="sinc", dim=dim, spatial=spatial, fourier=fourier,
-                        fourier_support=support,
-                        smoothness_tag="analytic bandlimited")
+                        fourier_support=support)
 
 
 def translate(f: TestFunction, shift) -> TestFunction:
@@ -228,7 +223,7 @@ def translate(f: TestFunction, shift) -> TestFunction:
     derivs = {b: (lambda pts, _d=d: _d(pts - a)) for b, d in f.derivatives.items()}
     return TestFunction(name=f"{f.name}_shift", dim=f.dim, spatial=spatial,
                         fourier=fourier, fourier_support=f.fourier_support,
-                        derivatives=derivs, smoothness_tag=f.smoothness_tag)
+                        derivatives=derivs)
 
 
 def _multi_indices(dim, per_axis_max):

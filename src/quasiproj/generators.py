@@ -15,7 +15,7 @@ import threading
 import numpy as np
 
 from .errors import InvalidParams, QuadratureFailure
-from .quadrature import as_points, gauss_nodes_box
+from .quadrature import as_points, fourier_sum, gauss_nodes_box
 
 KINDS = ("TensorSincPower", "BSplineTensor", "BochnerRiesz",
          "RationalBandlimited", "FourierProfile")
@@ -130,7 +130,7 @@ class Generator:
         while order <= cap:
             nodes, w = gauss_nodes_box(self.fourier_support, order)
             ph = self._fourier_pts(nodes) * w
-            vals = np.exp(2j * np.pi * (pts @ nodes.T)) @ ph
+            vals = fourier_sum(pts, nodes, ph)
             if prev is not None and np.max(np.abs(vals - prev)) <= SPATIAL_TOL:
                 with self._lock:
                     if self._quad_order is None or order > self._quad_order:
@@ -191,13 +191,3 @@ def make_generator(kind: str, params=None, dim: int = 1) -> Generator:
         return Generator(kind, {"profile": profile}, dim, box, None, decay)
     raise InvalidParams(f"unknown generator kind {kind!r}; choose from {KINDS}")
 
-
-def eval_fourier(g: Generator, xi):
-    """phi^(xi) from the closed-form profile."""
-    return g.fourier(xi)
-
-
-def eval_spatial(g: Generator, x):
-    """phi(x); quadrature-backed kinds raise QuadratureFailure if the
-    1e-10 target is not met at the node cap."""
-    return g.spatial(x)

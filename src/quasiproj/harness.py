@@ -61,23 +61,29 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(data: dict) -> "ExperimentConfig":
-        def need(section, key, default=None):
+        def need(section, key, default=None, kind=None):
             sec = data.get(section)
             if not isinstance(sec, dict):
                 raise ConfigError(f"missing config section {section!r}")
             if default is None and key not in sec:
                 raise ConfigError(f"missing config field {section}.{key}")
-            return sec.get(key, default)
+            value = sec.get(key, default)
+            try:
+                return value if kind is None else kind(value)
+            except (TypeError, ValueError):
+                raise ConfigError(f"config field {section}.{key} must be a "
+                                  f"number, got {value!r}") from None
 
-        dim = int(need("operator", "dim", 1))
+        dim = need("operator", "dim", 1, int)
         dil = need("operator", "dilation")
         levels = need("experiment", "levels")
         if not (isinstance(levels, list) and levels and
-                all(isinstance(j, int) and j >= 0 for j in levels)):
+                all(isinstance(j, int) and not isinstance(j, bool) and j >= 0
+                    for j in levels)):
             raise ConfigError("experiment.levels must be a nonempty list of "
                               "nonnegative integers")
-        p_raw = need("experiment", "p", 2)
-        p = np.inf if p_raw in ("inf", "Inf") else float(p_raw)
+        p = need("experiment", "p", 2,
+                 lambda v: np.inf if v in ("inf", "Inf") else float(v))
         fmt = need("output", "format", "json")
         if fmt not in ("json", "csv"):
             raise ConfigError(f"output.format must be json or csv, got {fmt!r}")
@@ -94,8 +100,8 @@ class ExperimentConfig:
             p=p,
             box=tuple(tuple(map(float, row))
                       for row in need("experiment", "box", [[-8.0, 8.0]] * dim)),
-            grid=int(need("experiment", "grid", 2048 if dim == 1 else 256)),
-            modulus_order=float(need("experiment", "modulus_order", 2)),
+            grid=need("experiment", "grid", 2048 if dim == 1 else 256, int),
+            modulus_order=need("experiment", "modulus_order", 2, float),
             with_modulus=bool(need("experiment", "with_modulus", False)),
             with_best_approx=bool(need("experiment", "with_best_approx", False)),
             output_format=fmt,
@@ -274,8 +280,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
 # -- band-limited reconstruction check --------------------------------------
 
-def reconstruction_check(spec: OperatorSpec, f, box, grid: int,
-                         truncation_radii=(8, 16, 32)):
+RADIUS_LADDER = (8, 16, 32)
+
+
+def reconstruction_check(spec: OperatorSpec, f, box, grid: int):
     """Exact-recovery certificate for band-limited signals.
 
     Hypotheses checked before any evaluation: the generator/analyzer pair
@@ -309,7 +317,7 @@ def reconstruction_check(spec: OperatorSpec, f, box, grid: int,
     from .quasiprojection import evaluate_spatial
     probe = 0.25 * (box[:, 0] + 3 * box[:, 1])  # off-center probe point
     exact = complex(np.asarray(f.spatial(probe[None, :]), dtype=complex)[0])
-    for radius in truncation_radii:
+    for radius in RADIUS_LADDER:
         val, _ = evaluate_spatial(spec, f, probe, radius)
         ladder.append({"radius": radius, "error": abs(val - exact)})
     return {"delta": delta, "sup_error": sup_err, "truncation": ladder}

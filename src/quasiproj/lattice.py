@@ -32,10 +32,6 @@ class DilationMatrix:
         """Matrix power M^j; j may be negative, power(0) is the identity."""
         return np.linalg.matrix_power(self.entries, j)
 
-    @property
-    def adjoint(self) -> np.ndarray:
-        return self.entries.T.copy()
-
     def adjoint_power(self, j: int) -> np.ndarray:
         return np.linalg.matrix_power(self.entries.T, j)
 
@@ -72,11 +68,6 @@ def make_dilation(entries) -> DilationMatrix:
     iso = bool(np.max(moduli) - np.min(moduli) <= _ISO_RTOL * np.max(moduli))
     return DilationMatrix(entries=a.copy(), dim=d, det_abs=float(abs(det)),
                           isotropic=iso, eig_moduli=np.sort(moduli))
-
-
-def power(M: DilationMatrix, j: int) -> np.ndarray:
-    """M^j as a dense matrix; j may be negative."""
-    return M.power(j)
 
 
 def operator_norm(A) -> float:

@@ -4,12 +4,14 @@ All rules are tensor Gauss-Legendre or uniform grids; nothing is randomized,
 so repeated runs are bit-identical.
 """
 
-from functools import lru_cache
-import itertools
+from functools import lru_cache, reduce
 
 import numpy as np
 
 from .errors import QuadratureFailure
+
+# largest rows x nodes block a vectorized sum builds at once
+MAX_BLOCK = 4_000_000
 
 
 @lru_cache(maxsize=64)
@@ -31,9 +33,8 @@ def gauss_nodes_box(box, order: int):
     for lo, hi in box:
         axes.append(0.5 * (hi - lo) * x + 0.5 * (hi + lo))
         wts.append(0.5 * (hi - lo) * w)
-    nodes = np.array(list(itertools.product(*axes)))
-    weights = np.array([np.prod(t) for t in itertools.product(*wts)])
-    return nodes, weights
+    weights = reduce(np.multiply.outer, wts).ravel()
+    return _tensor_points(axes), weights
 
 
 def integrate_box(func, box, tol=1e-10, start_order=16, max_order=1024):
@@ -57,6 +58,16 @@ def integrate_box(func, box, tol=1e-10, start_order=16, max_order=1024):
         f"integral did not reach tol={tol} at order {max_order}")
 
 
+def fourier_sum(pts, nodes, weights):
+    """sum_n weights_n exp(2 pi i x . nodes_n) for each row x of pts (n, d),
+    built in row blocks of at most MAX_BLOCK rows x nodes entries."""
+    out = np.empty(pts.shape[0], dtype=complex)
+    step = max(1, int(MAX_BLOCK / max(1, nodes.shape[0])))
+    for i in range(0, pts.shape[0], step):
+        out[i:i + step] = np.exp(2j * np.pi * (pts[i:i + step] @ nodes.T)) @ weights
+    return out
+
+
 def grid_points(box, grid: int):
     """Midpoint grid over a box: (grid^d, d) points plus the cell volume."""
     box = np.asarray(box, dtype=float)
@@ -66,8 +77,14 @@ def grid_points(box, grid: int):
         h = (hi - lo) / grid
         axes.append(lo + h * (np.arange(grid) + 0.5))
         vol *= h
-    pts = np.array(list(itertools.product(*axes)))
-    return pts, vol
+    return _tensor_points(axes), vol
+
+
+def _tensor_points(axes):
+    """All points of the tensor grid over per-axis coordinates, (n, d), in
+    row-major order (last axis fastest)."""
+    grids = np.meshgrid(*axes, indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=-1)
 
 
 def grid_lp_norm(values, cell_volume: float, p) -> float:

@@ -1,9 +1,14 @@
 """Evaluation of the quasi-projection operator and L_p error norms.
 
-Two evaluation routes are provided: truncated spatial sums (cubic index sets,
-with a crude tail bound) and an exact spectral route for band-limited data,
-where the transform of the operator output is assembled from finitely many
-lattice aliases of the signal's profile.
+The spatial routes each take their coefficients from one batched `analyze`
+call over a dense box of lattice sites and form sum_k c_k m^{j/2}
+phi(M^j x + k), masked by the generator's support: `evaluate_spatial` sums
+the cubic box ||k||_inf <= radius at a point in one generator call (with a
+crude tail bound), and `evaluate_grid_compact` sums, for compactly supported
+generators, the window of atoms that cover each point of a batch.  The
+spectral route handles band-limited data exactly: the transform of the
+operator output is assembled from finitely many lattice aliases of the
+signal's profile.
 """
 
 from dataclasses import dataclass
@@ -16,7 +21,7 @@ from .errors import InvalidParams, UnsupportedInput
 from .functions import TestFunction
 from .generators import Generator
 from .lattice import DilationMatrix
-from .quadrature import as_points, grid_lp_norm, grid_points
+from .quadrature import as_points, fourier_sum, grid_lp_norm, grid_points
 
 
 @dataclass(frozen=True)
@@ -38,50 +43,71 @@ class OperatorSpec:
         return self.dilation.dim
 
 
-def lattice_box(dim: int, radius: int):
-    """All integer points with sup-norm at most radius."""
-    rng = range(-radius, radius + 1)
-    return [np.array(k) for k in itertools.product(rng, repeat=dim)]
-
-
-def coefficients(spec: OperatorSpec, f: TestFunction, radius: int):
-    """All coefficients on the cubic index set ||k||_inf <= radius.
-
-    Returns a dict mapping integer tuples to complex values.
-    """
-    if radius < 0:
-        raise InvalidParams(f"radius must be >= 0, got {radius}")
-    out = {}
-    for k in lattice_box(spec.dim, radius):
-        out[tuple(int(v) for v in k)] = analyze(
-            f, spec.analyzer, spec.dilation, spec.level, k)
-    return out
-
-
 def evaluate_spatial(spec: OperatorSpec, f: TestFunction, x, radius: int):
     """Cubic partial sum of the operator series at a point.
 
-    Returns (value, tail_bound); the bound multiplies the largest computed
-    coefficient magnitude by the declared decay of the generator over the
-    dropped shell, and is crude by construction.
+    The sum runs over the sites ||k||_inf <= radius.  Returns (value,
+    tail_bound); the bound multiplies the largest computed coefficient
+    magnitude by the declared decay of the generator over the dropped shell,
+    and is crude by construction.
     """
+    if radius < 0:
+        raise InvalidParams(f"radius must be >= 0, got {radius}")
     pt, _ = as_points(x, spec.dim)
-    pt = pt[0]
-    M_j = spec.dilation.power(spec.level)
-    amp = spec.dilation.det_abs ** (spec.level / 2.0)
-    y = M_j @ pt
-    coeffs = coefficients(spec, f, radius)
-    total = 0.0 + 0.0j
+    y = pt[0] @ spec.dilation.power(spec.level).T
+    sites = _site_box(np.full(spec.dim, -radius), (2 * radius + 1,) * spec.dim)
+    coeffs = analyze(f, spec.analyzer, spec.dilation, spec.level, sites)
+    args = y + sites
+    mask = np.ones(sites.shape[0], dtype=bool)
     supp = spec.generator.spatial_support
-    for k_tup, c in coeffs.items():
-        if c == 0:
+    if supp is not None:
+        mask = np.all((args >= supp[:, 0]) & (args <= supp[:, 1]), axis=1)
+    amp = spec.dilation.det_abs ** (spec.level / 2.0)
+    phi = np.asarray(spec.generator.spatial(args[mask]), dtype=complex)
+    total = amp * (coeffs[mask] @ phi)
+    return complex(total), _tail_bound(spec, coeffs, y, radius)
+
+
+def evaluate_grid_compact(spec: OperatorSpec, f: TestFunction, pts):
+    """Vectorized operator values on a batch of points for generators with
+    compact spatial support.
+
+    The coefficients come from one `analyze` call over the site box that
+    covers the batch; each point then sums only the window of atoms that
+    can reach it, masked by the generator's support.
+    """
+    supp = spec.generator.spatial_support
+    if supp is None:
+        raise UnsupportedInput("generator lacks compact spatial support")
+    pts, _ = as_points(pts, spec.dim)
+    y = pts @ spec.dilation.power(spec.level).T
+    half = np.max(np.abs(supp))
+    lo = np.floor(-y.max(axis=0) - half).astype(int)
+    shape = tuple(np.ceil(-y.min(axis=0) + half).astype(int) - lo + 1)
+    coeffs = analyze(f, spec.analyzer, spec.dilation, spec.level,
+                     _site_box(lo, shape))
+    amp = spec.dilation.det_abs ** (spec.level / 2.0)
+    span = int(np.ceil(half)) + 1
+    base = np.floor(-y).astype(int)
+    out = np.zeros(y.shape[0], dtype=complex)
+    for off in _site_box(np.full(spec.dim, -span), (2 * span + 1,) * spec.dim):
+        ks = base + off
+        rel = ks - lo
+        args = y + ks
+        mask = np.all((rel >= 0) & (rel < shape), axis=1)
+        mask &= np.all((args >= supp[:, 0]) & (args <= supp[:, 1]), axis=1)
+        if not np.any(mask):
             continue
-        arg = y + np.array(k_tup, dtype=float)
-        if supp is not None and np.any((arg < supp[:, 0]) | (arg > supp[:, 1])):
-            continue
-        total += c * amp * np.asarray(spec.generator.spatial(arg[None, :]))[0]
-    tail = _tail_bound(spec, coeffs, y, radius)
-    return complex(total), tail
+        vals = np.asarray(spec.generator.spatial(args[mask]), dtype=complex)
+        cs = coeffs[np.ravel_multi_index(rel[mask].T, shape)]
+        out[mask] += amp * cs * vals
+    return out
+
+
+def _site_box(lo, shape):
+    """The integer sites lo + [0, shape) as an (n, d) array, in row-major
+    order (last axis fastest), so coefficients reshape to the box."""
+    return np.indices(shape).reshape(len(shape), -1).T + lo
 
 
 def _tail_bound(spec, coeffs, y, radius):
@@ -92,7 +118,7 @@ def _tail_bound(spec, coeffs, y, radius):
     r = spec.generator.decay_rate
     if r is None or r <= 1.0:
         return np.inf
-    cmax = max((abs(c) for c in coeffs.values()), default=0.0)
+    cmax = float(np.max(np.abs(coeffs)))
     amp = spec.dilation.det_abs ** (spec.level / 2.0)
     t0 = max(1.0, radius - np.max(np.abs(y)))
     d = spec.dim
@@ -160,34 +186,27 @@ def _spectrum_pts(spec, f, pts, shifts):
     return phihat * acc
 
 
-def spectral_evaluator(spec: OperatorSpec, f: TestFunction,
-                       nodes_per_axis: int | None = None):
+def spectral_evaluator(spec: OperatorSpec, f: TestFunction):
     """Spatial evaluator for Q_j f by quadrature of its spectrum.
 
     The spectrum is sampled once on a midpoint grid over its support box;
     the returned callable maps points (n, d) -> complex values via a
-    chunked inverse-Fourier Riemann sum.
+    blocked inverse-Fourier Riemann sum.
     """
     S = spectrum_support(spec)
     width = float(np.max(S[:, 1] - S[:, 0]))
-    if nodes_per_axis is None:
+    if spec.dim == 1:
         nodes_per_axis = int(min(32768, max(4096, 512 * width)))
-        if spec.dim > 1:
-            nodes_per_axis = int(min(512, max(128, 16 * width)))
+    else:
+        nodes_per_axis = int(min(512, max(128, 16 * width)))
     nodes, vol = grid_points(S, nodes_per_axis)
     weights = _spectrum_pts(spec, f, nodes, alias_shifts(spec, f)) * vol
 
     def evaluator(x):
         pts, scalar = as_points(x, spec.dim)
-        out = np.empty(pts.shape[0], dtype=complex)
-        chunk = max(1, int(4e6 / max(1, nodes.shape[0])))
-        for i in range(0, pts.shape[0], chunk):
-            block = pts[i:i + chunk]
-            out[i:i + chunk] = np.exp(2j * np.pi * (block @ nodes.T)) @ weights
+        out = fourier_sum(pts, nodes, weights)
         return complex(out[0]) if scalar else out
 
-    evaluator.nodes_per_axis = nodes_per_axis
-    evaluator.support = S
     return evaluator
 
 
@@ -215,35 +234,3 @@ def error_lp(f, approx, p, box, grid: int) -> GridNorm:
     diff = _eval_on(f, pts).astype(complex) - _eval_on(approx, pts).astype(complex)
     spacing = float(np.max((box[:, 1] - box[:, 0]) / grid))
     return GridNorm(value=grid_lp_norm(diff, vol, p), spacing=spacing, grid=grid)
-
-
-def evaluate_grid_compact(spec: OperatorSpec, f: TestFunction, pts):
-    """Vectorized operator values on a batch of points for generators with
-    compact spatial support (only the few overlapping atoms are summed)."""
-    supp = spec.generator.spatial_support
-    if supp is None:
-        raise UnsupportedInput("generator lacks compact spatial support")
-    pts, _ = as_points(pts, spec.dim)
-    M_j = spec.dilation.power(spec.level)
-    amp = spec.dilation.det_abs ** (spec.level / 2.0)
-    y = pts @ M_j.T
-    half = np.max(np.abs(supp))
-    lo = np.floor(-y.max(axis=0) - half).astype(int)
-    hi = np.ceil(-y.min(axis=0) + half).astype(int)
-    coeff = {}
-    for k in itertools.product(*[range(a, b + 1) for a, b in zip(lo, hi)]):
-        coeff[k] = analyze(f, spec.analyzer, spec.dilation, spec.level,
-                           np.array(k))
-    out = np.zeros(pts.shape[0], dtype=complex)
-    base = np.floor(-y).astype(int)
-    span = int(np.ceil(half)) + 1
-    for off in itertools.product(range(-span, span + 1), repeat=spec.dim):
-        ks = base + np.array(off)
-        args = y + ks
-        mask = np.all((args >= supp[:, 0]) & (args <= supp[:, 1]), axis=1)
-        if not np.any(mask):
-            continue
-        vals = np.asarray(spec.generator.spatial(args[mask]), dtype=complex)
-        cs = np.array([coeff.get(tuple(map(int, kk)), 0.0) for kk in ks[mask]])
-        out[mask] += amp * cs * vals
-    return out

@@ -7,10 +7,10 @@ from quasiproj.analyzers import (alpha_bound, analyze, fourier_symbol,
                                  make_analyzer)
 from quasiproj.errors import (DerivativeUnavailable, InvalidParams,
                               UnsupportedMatrix)
-from quasiproj.functions import gaussian, hat_tensor
+from quasiproj.functions import band_bump, gaussian, hat_tensor
 from quasiproj.generators import make_generator
 from quasiproj.lattice import make_dilation
-from quasiproj.quadrature import integrate_box
+from quasiproj.quadrature import MAX_BLOCK, integrate_box
 
 
 def test_make_analyzer_validation():
@@ -125,3 +125,58 @@ def test_kernel_coefficient_matches_direct_integral():
         lambda t: np.real(kern.spatial(t[:, 0])) * np.exp(-np.pi * t[:, 0] ** 2),
         [[a0, b0]], tol=1e-13) for a0, b0 in ((-1.0, 0.0), (0.0, 1.0)))
     assert c == pytest.approx(want, rel=1e-9)
+
+
+_KERNEL = make_generator("BSplineTensor", {"n": 2}, 2)
+
+
+@pytest.mark.parametrize("dim, kind, kw", [
+    (1, "Dirac", {}),
+    (1, "DiracDerivative", {"beta": (1,)}),
+    (1, "DiracPlusDerivative", {"beta": (2,)}),
+    (1, "BoxAverage", {}),
+    (2, "BoxAverage", {}),
+    (2, "MixedTensor", {"axes": ("BoxAverage", "Dirac")}),
+    (2, "KernelL1", {"kernel": _KERNEL}),
+])
+def test_site_array_matches_single_sites(dim, kind, kw):
+    f = gaussian(dim)
+    M = make_dilation(np.diag([2.0] * dim))
+    a = make_analyzer(kind, dim, **kw)
+    sites = np.array([[k, 1 - k][:dim] for k in range(-3, 4)], dtype=float)
+    batch = analyze(f, a, M, 1, sites)
+    assert batch.shape == (sites.shape[0],)
+    for k, c in zip(sites, batch):
+        assert abs(c - analyze(f, a, M, 1, k)) <= 1e-12
+
+
+def test_site_array_shape_checked():
+    M = make_dilation(np.diag([2.0, 2.0]))
+    with pytest.raises(InvalidParams):
+        analyze(gaussian(2), make_analyzer("Dirac", 2), M, 0, np.zeros((3, 1)))
+
+
+@pytest.mark.parametrize("kind, sites", [
+    # 256 sample points x 128^2 profile nodes would exceed MAX_BLOCK unblocked
+    ("BoxAverage", np.array([[0, 0], [1, -1], [2, 3], [-3, 1]], dtype=float)),
+    ("Dirac", np.indices((18, 18)).reshape(2, -1).T - 9.0),
+])
+def test_profile_signal_site_array_2d(monkeypatch, kind, sites):
+    # band_bump evaluates by inverse-Fourier quadrature of its profile; the
+    # points x nodes phase blocks it builds must stay within MAX_BLOCK
+    f = band_bump(0.4, 2)
+    M = make_dilation(np.diag([2.0, 2.0]))
+    a = make_analyzer(kind, 2)
+    blocks = []
+    exp = np.exp
+
+    def spy(z):
+        if np.iscomplexobj(z) and np.ndim(z) == 2:
+            blocks.append(np.size(z))
+        return exp(z)
+
+    monkeypatch.setattr(np, "exp", spy)
+    batch = analyze(f, a, M, 1, sites)
+    assert 0 < max(blocks) <= MAX_BLOCK
+    single = np.array([analyze(f, a, M, 1, k) for k in sites])
+    np.testing.assert_allclose(batch, single, rtol=0, atol=1e-12)

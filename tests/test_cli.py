@@ -83,3 +83,13 @@ def test_reconstruct_hypothesis_violation_exit_2(tmp_path):
 def test_bad_config_exit_1(tmp_path):
     assert main(["check", _write(tmp_path, {"operator": {}})]) == 1
     assert main(["check", str(tmp_path / "missing.json")]) == 1
+
+
+def test_malformed_config_values_exit_1(tmp_path, capsys):
+    for sec, key, value in (("experiment", "grid", "big"),
+                            ("experiment", "levels", [True, 2])):
+        data = json.loads(json.dumps(GOOD))
+        data[sec][key] = value
+        assert main(["rates", _write(tmp_path, data)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{sec}.{key}" in err

@@ -77,6 +77,22 @@ def test_config_bad_levels():
         _cfg(**{"experiment.levels": [-1, 2]})
 
 
+def test_config_boolean_levels_rejected():
+    with pytest.raises(ConfigError, match="levels"):
+        _cfg(**{"experiment.levels": [True, 2]})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("operator.dim", "two"),
+    ("experiment.grid", "big"),
+    ("experiment.p", [2]),
+    ("experiment.modulus_order", "second"),
+])
+def test_config_non_numeric_field(field, value):
+    with pytest.raises(ConfigError, match=field):
+        _cfg(**{field: value})
+
+
 def test_config_bad_format():
     with pytest.raises(ConfigError, match="format"):
         _cfg(**{"output.format": "xml"})

@@ -1,16 +1,28 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from quasiproj import quadrature
 from quasiproj.errors import QuadratureFailure
-from quasiproj.quadrature import (as_points, gauss_nodes_box, grid_lp_norm,
-                                  grid_points, integrate_box)
+from quasiproj.quadrature import (as_points, fourier_sum, gauss_nodes_box,
+                                  grid_lp_norm, grid_points, integrate_box)
 
 
 def test_gauss_constant_weight_sum():
-    _, w = gauss_nodes_box([[-1.0, 3.0], [0.0, 2.0]], 8)
-    assert np.sum(w) == pytest.approx(8.0, rel=1e-13)
+    x, wx = np.polynomial.legendre.leggauss(8)
+    for box, volume in (([[-1.0, 3.0]], 4.0),
+                        ([[-1.0, 3.0], [0.0, 2.0]], 8.0),
+                        ([[-1.0, 3.0], [0.0, 2.0], [0.5, 0.75]], 2.0)):
+        nodes, w = gauss_nodes_box(box, 8)
+        assert np.sum(w) == pytest.approx(volume, rel=1e-13)
+        # bit-identical to the itertools-built tensor rule
+        axes = [0.5 * (hi - lo) * x + 0.5 * (hi + lo) for lo, hi in box]
+        wts = [0.5 * (hi - lo) * wx for lo, hi in box]
+        assert np.array_equal(nodes, np.array(list(itertools.product(*axes))))
+        assert np.array_equal(
+            w, np.array([np.prod(t) for t in itertools.product(*wts)]))
 
 
 def test_integrate_polynomial_exact():
@@ -35,6 +47,31 @@ def test_grid_points_midpoints():
     pts, vol = grid_points([[0.0, 1.0]], 4)
     np.testing.assert_allclose(pts[:, 0], [0.125, 0.375, 0.625, 0.875])
     assert vol == pytest.approx(0.25)
+    for box in ([[0.0, 1.0], [-2.0, 2.0]],
+                [[0.0, 1.0], [-2.0, 2.0], [3.0, 3.5]]):
+        pts, vol = grid_points(box, 5)
+        axes = [lo + (hi - lo) / 5 * (np.arange(5) + 0.5) for lo, hi in box]
+        assert np.array_equal(pts, np.array(list(itertools.product(*axes))))
+        assert vol == pytest.approx(np.prod([(hi - lo) / 5 for lo, hi in box]))
+
+
+def test_fourier_sum_blocks_rows(monkeypatch):
+    pts, _ = grid_points([[-3.0, 3.0], [-1.0, 2.0]], 9)
+    nodes, w = gauss_nodes_box([[-0.5, 0.5], [-0.25, 0.5]], 6)
+    dense = np.exp(2j * np.pi * (pts @ nodes.T)) @ w
+    blocks = []
+    exp = np.exp
+
+    def spy(z):
+        blocks.append(np.shape(z))
+        return exp(z)
+
+    monkeypatch.setattr(quadrature, "MAX_BLOCK", 5 * nodes.shape[0])
+    monkeypatch.setattr(np, "exp", spy)
+    got = fourier_sum(pts, nodes, w)
+    assert blocks == [(5, 36)] * 16 + [(1, 36)]
+    np.testing.assert_allclose(got, dense, rtol=0, atol=1e-14)
+    assert fourier_sum(pts[:0], nodes, w).shape == (0,)
 
 
 def test_grid_lp_norm_matches_closed_form():

@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from quasiproj.analyzers import make_analyzer
+from quasiproj.analyzers import analyze, make_analyzer
 from quasiproj.errors import InvalidParams
 from quasiproj.functions import band_bump, gaussian, hat_tensor
 from quasiproj.generators import make_generator
 from quasiproj.lattice import make_dilation
 from quasiproj.quadrature import grid_points
-from quasiproj.quasiprojection import (OperatorSpec, alias_shifts,
-                                       coefficients, error_lp,
+from quasiproj.quasiprojection import (OperatorSpec, alias_shifts, error_lp,
                                        evaluate_grid_compact,
                                        evaluate_spatial, evaluate_spectral,
                                        spectral_evaluator, spectrum_support)
@@ -31,9 +30,13 @@ def test_dimension_mismatch_rejected():
 
 def test_coefficients_index_set():
     spec = _spec("BSplineTensor", {"n": 2}, "Dirac")
-    co = coefficients(spec, gaussian(1), 3)
-    assert set(co) == {(k,) for k in range(-3, 4)}
-    assert co[(0,)] == pytest.approx(1.0)
+    sites = np.arange(-3, 4)[:, None]
+    co = analyze(gaussian(1), spec.analyzer, spec.dilation, spec.level, sites)
+    assert co.shape == (7,)
+    # level 0 point samples: c_k = f(-k)
+    np.testing.assert_allclose(co, np.exp(-np.pi * sites[:, 0] ** 2),
+                               rtol=1e-15)
+    assert co[3] == pytest.approx(1.0)
 
 
 def test_hat_interpolates_itself():
@@ -55,6 +58,24 @@ def test_compact_grid_route_matches_pointwise_route():
     for i, x in enumerate(pts[:, 0]):
         val, _ = evaluate_spatial(spec, f, x, 12)
         assert batch[i] == pytest.approx(val, rel=1e-12)
+
+
+@pytest.mark.parametrize("ana_kind, ana_kw", [
+    ("BoxAverage", {}),
+    ("MixedTensor", {"axes": ("Dirac", "BoxAverage")}),
+])
+def test_compact_route_under_quincunx(ana_kind, ana_kw):
+    spec = OperatorSpec(generator=make_generator("BSplineTensor", {"n": 2}, 2),
+                        analyzer=make_analyzer(ana_kind, 2, **ana_kw),
+                        dilation=make_dilation([[1.0, 1.0], [1.0, -1.0]]),
+                        level=3)
+    f = gaussian(2)
+    pts = np.array([[0.3, -0.2], [-1.1, 0.7], [0.05, 1.4]])
+    batch = evaluate_grid_compact(spec, f, pts)
+    for i, x in enumerate(pts):
+        val, tail = evaluate_spatial(spec, f, x, 12)
+        assert tail == 0.0
+        assert abs(batch[i] - val) <= 1e-12
 
 
 def test_spectrum_support_scales_with_level():
