@@ -17,11 +17,11 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (DerivativeUnavailable, InvalidParams, QuadratureFailure,
+from .errors import (DerivativeUnavailable, InvalidParams,
                      UnsupportedInput, UnsupportedMatrix)
 from .generators import Generator
 from .lattice import DilationMatrix
-from .quadrature import MAX_BLOCK, gauss_nodes_box
+from .quadrature import MAX_BLOCK, converge, gauss_nodes_box, split_box
 from .functions import TestFunction
 
 KINDS = ("Dirac", "DiracDerivative", "BoxAverage", "MixedTensor", "KernelL1",
@@ -142,9 +142,12 @@ def _pairings(f, a, M, j, sites):
     if a.kind == "KernelL1":
         # piecewise over half-integer knot cells: spline-type kernels are
         # smooth on each cell, so the doubling rule converges there
+        supp = a.kernel.spatial_support
+        knots = [np.arange(np.ceil(2 * lo), np.floor(2 * hi) + 1) / 2.0
+                 for lo, hi in supp]
         axes = list(range(a.dim))
         return sum(_adaptive_box(f, Minv_j, sites, cell, axes, a.kernel)
-                   for cell in _knot_cells(a.kernel.spatial_support))
+                   for cell in split_box(supp, knots))
     if a.kind == "BoxAverage":
         avg = list(range(a.dim))
     else:  # MixedTensor
@@ -153,16 +156,6 @@ def _pairings(f, a, M, j, sites):
             return np.asarray(f.spatial(x), dtype=complex)
     return _adaptive_box(f, Minv_j, sites, np.array([[-0.5, 0.5]] * len(avg)),
                          avg)
-
-
-def _knot_cells(box):
-    import itertools
-    edges = []
-    for lo, hi in box:
-        cuts = np.arange(np.ceil(2 * lo), np.floor(2 * hi) + 1) / 2.0
-        pts = np.unique(np.concatenate([[lo], cuts, [hi]]))
-        edges.append(list(zip(pts[:-1], pts[1:])))
-    return [np.array(cell) for cell in itertools.product(*edges)]
 
 
 def _derivative_term(f, beta, M, j, x):
@@ -191,13 +184,12 @@ def _adaptive_box(f, Minv_j, sites, box, axes, kernel=None, tol=_BOX_TOL,
     when a kernel is given, one per site k (the rows of sites); t spans the
     listed axes and is 0 in the others.
 
-    Orders double until the largest change over all sites is within tol.
-    Each order evaluates f on sites x nodes in blocks of at most MAX_BLOCK
-    entries.
+    Orders double from 8 (`converge`) until the largest change over all
+    sites is within tol.  Each order evaluates f on sites x nodes in blocks
+    of at most MAX_BLOCK entries.
     """
-    order = 8
-    prev = None
-    while order <= cap:
+
+    def at(order):
         nodes, w = gauss_nodes_box(box, order)
         t = np.zeros((w.shape[0], sites.shape[1]))
         t[:, axes] = nodes
@@ -209,9 +201,6 @@ def _adaptive_box(f, Minv_j, sites, box, axes, kernel=None, tol=_BOX_TOL,
             pts = (t[None, :, :] - block[:, None, :]) @ Minv_j.T
             vals = np.asarray(f.spatial(pts.reshape(-1, t.shape[1])))
             val.append(vals.reshape(block.shape[0], -1) * kw @ w)
-        val = np.concatenate(val)
-        if prev is not None and np.max(np.abs(val - prev)) <= tol:
-            return val.astype(complex)
-        prev = val
-        order *= 2
-    raise QuadratureFailure(f"analyzer box integral not converged at order {cap}")
+        return np.concatenate(val)
+
+    return converge(at, 8, cap, tol, "analyzer box integral").astype(complex)

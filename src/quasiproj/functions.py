@@ -5,16 +5,18 @@ closures, and (when available) an exact Fourier profile with a declared
 support box.  The box is what the spectral paths and best-approximation
 integrals rely on, so profiles without genuine compact support (the
 Gaussian) declare a truncation box whose discarded mass is below 1e-30.
+Signals built from a profile alone evaluate by `quadrature.inverse_fourier`,
+whose orders depend only on the points asked for, so a value does not depend
+on earlier calls.
 """
 
 from dataclasses import dataclass, field
-import threading
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import InvalidParams, QuadratureFailure, UnsupportedInput
-from .quadrature import as_points, fourier_sum, gauss_nodes_box
+from .errors import InvalidParams, UnsupportedInput
+from .quadrature import as_points, inverse_fourier, split_box
 
 
 @dataclass
@@ -49,53 +51,18 @@ class TestFunction:
                 f"{self.name} lacks the derivative closure for beta={beta}") from None
 
 
-class _ProfileQuadrature:
-    """Adaptive inverse-Fourier evaluator shared by profile-backed signals."""
+def _profile_quadrature(profile, support, tol=1e-12, split_origin=False):
+    """Adaptive inverse-Fourier evaluator of a profile over its support box."""
+    cap = 4096 if support.shape[0] == 1 else 128
+    # splitting each axis at 0 restores spectral convergence when the
+    # profile has a kink there (radial powers |xi|^s)
+    boxes = (split_box(support, [[0.0]] * support.shape[0]) if split_origin
+             else [support])
 
-    def __init__(self, profile, support, tol=1e-12, cap=4096, split_origin=False):
-        self.profile = profile
-        self.support = np.asarray(support, dtype=float)
-        self.tol = tol
-        self.cap = cap if support.shape[0] == 1 else 128
-        # splitting each axis at 0 restores spectral convergence when the
-        # profile has a kink there (radial powers |xi|^s)
-        self.boxes = (_split_at_origin(self.support) if split_origin
-                      else [self.support])
-        self._order = None
-        self._lock = threading.Lock()
+    def spatial(pts):
+        return inverse_fourier(profile, boxes, pts, tol, 64, cap)
 
-    def __call__(self, pts):
-        # restart one doubling below the cached order: the convergence check
-        # then terminates at the cached level instead of ratcheting past it
-        with self._lock:
-            order = 64 if self._order is None else max(64, self._order // 2)
-        prev = None
-        while order <= self.cap:
-            vals = 0.0
-            for box in self.boxes:
-                nodes, w = gauss_nodes_box(box, order)
-                ph = np.asarray(self.profile(nodes), dtype=complex) * w
-                vals = vals + fourier_sum(pts, nodes, ph)
-            if prev is not None and np.max(np.abs(vals - prev)) <= self.tol:
-                with self._lock:
-                    if self._order is None or order > self._order:
-                        self._order = order
-                return vals
-            prev = vals
-            order *= 2
-        raise QuadratureFailure(
-            f"inverse Fourier quadrature not converged at order {self.cap}")
-
-
-def _split_at_origin(support):
-    import itertools
-    pieces = []
-    for lo, hi in support:
-        if lo < 0.0 < hi:
-            pieces.append([(lo, 0.0), (0.0, hi)])
-        else:
-            pieces.append([(lo, hi)])
-    return [np.array(combo) for combo in itertools.product(*pieces)]
+    return spatial
 
 
 def from_profile(name, dim, profile, support, derivative_orders=(),
@@ -107,7 +74,7 @@ def from_profile(name, dim, profile, support, derivative_orders=(),
     which is exact up to the quadrature target, not a finite difference.
     """
     support = np.asarray(support, dtype=float)
-    spatial = _ProfileQuadrature(profile, support, split_origin=split_origin)
+    spatial = _profile_quadrature(profile, support, split_origin=split_origin)
     derivs = {}
     for beta in derivative_orders:
         beta = tuple(int(b) for b in beta)
@@ -119,7 +86,7 @@ def from_profile(name, dim, profile, support, derivative_orders=(),
                     fac = fac * (2j * np.pi * pts[..., ax]) ** order
             return fac * np.asarray(profile(pts), dtype=complex)
 
-        derivs[beta] = _ProfileQuadrature(dprofile, support)
+        derivs[beta] = _profile_quadrature(dprofile, support)
     return TestFunction(name=name, dim=dim, spatial=spatial, fourier=profile,
                         fourier_support=support, derivatives=derivs)
 
@@ -258,9 +225,9 @@ def check_consistency(f: TestFunction, n_points: int = 20, tol: float = 1e-8):
         return
     rng = np.random.default_rng(0)  # fixed seed: deterministic probes
     pts = rng.uniform(-2.0, 2.0, size=(n_points, f.dim))
-    quad = _ProfileQuadrature(f.fourier, f.fourier_support, tol=1e-10)
     direct = np.asarray(f.spatial(pts), dtype=complex)
-    via_fourier = quad(pts)
+    via_fourier = _profile_quadrature(f.fourier, f.fourier_support,
+                                      tol=1e-10)(pts)
     err = np.max(np.abs(direct - via_fourier))
     if err > tol:
         raise InvalidParams(

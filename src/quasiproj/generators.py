@@ -10,12 +10,11 @@ normalized so its value at the origin is 1.  Conventions used throughout:
 """
 
 import math
-import threading
 
 import numpy as np
 
 from .errors import InvalidParams, QuadratureFailure
-from .quadrature import as_points, fourier_sum, gauss_nodes_box
+from .quadrature import as_points, inverse_fourier
 
 KINDS = ("TensorSincPower", "BSplineTensor", "BochnerRiesz",
          "RationalBandlimited", "FourierProfile")
@@ -45,9 +44,10 @@ class Generator:
     """A synthesis function phi with closed-form Fourier profile.
 
     Spatial evaluation is closed-form where one exists (sinc powers,
-    B-splines) and cached adaptive inverse-Fourier quadrature otherwise.
-    The quadrature-order cache is lock-protected; everything else is
-    immutable, so evaluation is freely concurrent.
+    B-splines) and adaptive inverse-Fourier quadrature otherwise, whose
+    orders depend only on the points asked for.  A generator holds no
+    mutable state, so its values do not depend on earlier calls and
+    evaluation is freely concurrent.
     """
 
     def __init__(self, kind, params, dim, fourier_support, spatial_support,
@@ -58,8 +58,6 @@ class Generator:
         self.fourier_support = fourier_support
         self.spatial_support = spatial_support
         self.decay_rate = decay_rate
-        self._quad_order = None
-        self._lock = threading.Lock()
 
     def __repr__(self):
         ps = ", ".join(f"{k}={v}" for k, v in sorted(self.params.items())
@@ -121,25 +119,8 @@ class Generator:
         if self.fourier_support is None:
             raise QuadratureFailure(
                 f"{self.kind} has no Fourier support box to integrate over")
-        cap = 4096 if self.dim == 1 else 128
-        # start one doubling below the cached order so the convergence pair
-        # terminates at the cached level instead of ratcheting upward
-        with self._lock:
-            order = 32 if self._quad_order is None else max(32, self._quad_order // 2)
-        prev = None
-        while order <= cap:
-            nodes, w = gauss_nodes_box(self.fourier_support, order)
-            ph = self._fourier_pts(nodes) * w
-            vals = fourier_sum(pts, nodes, ph)
-            if prev is not None and np.max(np.abs(vals - prev)) <= SPATIAL_TOL:
-                with self._lock:
-                    if self._quad_order is None or order > self._quad_order:
-                        self._quad_order = order
-                return vals
-            prev = vals
-            order *= 2
-        raise QuadratureFailure(
-            f"spatial values of {self.kind} not converged at order {cap}")
+        return inverse_fourier(self._fourier_pts, [self.fourier_support], pts,
+                               SPATIAL_TOL, 32, 4096 if self.dim == 1 else 128)
 
 
 def make_generator(kind: str, params=None, dim: int = 1) -> Generator:

@@ -21,7 +21,7 @@ from .conditions import condition_report, strict_compat_radius
 from .errors import (ConfigError, HypothesisViolated, InvalidParams,
                      NonPositiveValue)
 from .generators import make_generator
-from .lattice import make_dilation
+from .lattice import make_dilation, map_box
 from .quadrature import grid_points
 from .quasiprojection import (OperatorSpec, error_lp, evaluate_grid_compact,
                               spectral_evaluator)
@@ -98,8 +98,7 @@ class ExperimentConfig:
             dim=dim,
             levels=tuple(levels),
             p=p,
-            box=tuple(tuple(map(float, row))
-                      for row in need("experiment", "box", [[-8.0, 8.0]] * dim)),
+            box=_box(need("experiment", "box", [[-8.0, 8.0]] * dim), dim),
             grid=need("experiment", "grid", 2048 if dim == 1 else 256, int),
             modulus_order=need("experiment", "modulus_order", 2, float),
             with_modulus=bool(need("experiment", "with_modulus", False)),
@@ -120,6 +119,19 @@ class ExperimentConfig:
     def digest(self) -> str:
         blob = json.dumps(self.raw, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
+
+
+def _box(value, dim):
+    """experiment.box as dim rows of finite (lo, hi) with lo < hi."""
+    try:
+        box = np.array(value, dtype=float)
+    except (TypeError, ValueError):
+        box = None
+    if (box is None or box.shape != (dim, 2) or not np.all(np.isfinite(box))
+            or not np.all(box[:, 0] < box[:, 1])):
+        raise ConfigError(f"experiment.box must be {dim} rows of finite "
+                          f"[lo, hi] with lo < hi, got {value!r}")
+    return tuple(tuple(row) for row in box.tolist())
 
 
 def build_operator(cfg: ExperimentConfig, level: int) -> OperatorSpec:
@@ -299,11 +311,8 @@ def reconstruction_check(spec: OperatorSpec, f, box, grid: int):
             "every dyadic spectral box")
     if f.fourier_support is None:
         raise HypothesisViolated(f"{f.name} has no declared spectrum box")
-    Aj = spec.dilation.adjoint_power(spec.level)
-    corners = np.array([[lo, hi] for lo, hi in f.fourier_support])
-    import itertools as it
-    pts = np.array(list(it.product(*corners)))
-    back = pts @ np.linalg.inv(Aj).T
+    back = map_box(np.linalg.inv(spec.dilation.adjoint_power(spec.level)),
+                   f.fourier_support)
     if np.max(np.abs(back)) >= 0.5 * delta:
         raise HypothesisViolated(
             f"signal spectrum exceeds the level-{spec.level} box scaled by "

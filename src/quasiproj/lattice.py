@@ -6,6 +6,7 @@ modulus; its positive powers refine the integer lattice.  Everything downstream
 """
 
 from dataclasses import dataclass, field
+import itertools
 
 import numpy as np
 
@@ -73,3 +74,10 @@ def make_dilation(entries) -> DilationMatrix:
 def operator_norm(A) -> float:
     """Spectral norm (largest singular value) of a d x d matrix."""
     return float(np.linalg.norm(np.atleast_2d(np.asarray(A, dtype=float)), 2))
+
+
+def map_box(A, box):
+    """Bounding box of the image of a (d, 2) box under x -> A x: its corners
+    mapped through A, then the per-axis min and max."""
+    mapped = np.array(list(itertools.product(*box))) @ A.T
+    return np.stack([mapped.min(axis=0), mapped.max(axis=0)], axis=1)

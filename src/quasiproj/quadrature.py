@@ -1,10 +1,13 @@
 """Deterministic quadrature and grid helpers used across the package.
 
 All rules are tensor Gauss-Legendre or uniform grids; nothing is randomized,
-so repeated runs are bit-identical.
+so repeated runs are bit-identical.  Every adaptive rule goes through one
+doubling check, `converge`, whose orders depend only on its arguments, so a
+value never depends on earlier calls.
 """
 
 from functools import lru_cache, reduce
+import itertools
 
 import numpy as np
 
@@ -37,25 +40,66 @@ def gauss_nodes_box(box, order: int):
     return _tensor_points(axes), weights
 
 
-def integrate_box(func, box, tol=1e-10, start_order=16, max_order=1024):
-    """Adaptive tensor Gauss-Legendre integral of `func` over a box.
+def converge(evaluate, start, cap, tol, what):
+    """The doubling check every adaptive rule goes through.
 
-    `func` takes points of shape (n, d) and returns shape (n,).  Orders are
-    doubled until two successive values agree within `tol` (absolute);
-    QuadratureFailure is raised at the cap instead of degrading silently.
+    Evaluates `evaluate(order)` at orders start, 2 start, ... and returns the
+    first value whose largest absolute change from the previous order is
+    within `tol`; the orders depend only on the arguments.  At the cap it
+    raises QuadratureFailure naming `what` instead of degrading silently.
     """
-    box = np.asarray(box, dtype=float)
     prev = None
-    order = start_order
-    while order <= max_order:
-        nodes, weights = gauss_nodes_box(box, order)
-        val = np.dot(func(nodes), weights)
-        if prev is not None and abs(val - prev) <= tol:
+    order = start
+    while order <= cap:
+        val = evaluate(order)
+        if prev is not None and np.max(np.abs(val - prev)) <= tol:
             return val
         prev = val
         order *= 2
-    raise QuadratureFailure(
-        f"integral did not reach tol={tol} at order {max_order}")
+    raise QuadratureFailure(f"{what} did not reach tol={tol} at order {cap}")
+
+
+def integrate_box(func, box, tol=1e-10, start_order=16, max_order=1024):
+    """Adaptive tensor Gauss-Legendre integral of `func` over a box.
+
+    `func` takes points of shape (n, d) and returns shape (n,).
+    """
+
+    def at(order):
+        nodes, weights = gauss_nodes_box(box, order)
+        return np.dot(func(nodes), weights)
+
+    return converge(at, start_order, max_order, tol, "box integral")
+
+
+def inverse_fourier(profile, boxes, pts, tol, start, cap):
+    """Inverse Fourier transform of `profile` at the rows x of pts (n, d):
+    the sum over `boxes` of integral profile(xi) exp(2 pi i x . xi) dxi.
+
+    Each order takes one tensor Gauss rule per box, summed by `fourier_sum`;
+    orders double from `start` to `cap` through `converge`."""
+
+    def at(order):
+        vals = 0.0
+        for box in boxes:
+            nodes, w = gauss_nodes_box(box, order)
+            vals = vals + fourier_sum(
+                pts, nodes, np.asarray(profile(nodes), dtype=complex) * w)
+        return vals
+
+    return converge(at, start, cap, tol, "inverse Fourier quadrature")
+
+
+def split_box(box, cuts):
+    """Tensor cells of a box cut, per axis, at the points of cuts[axis] that
+    lie strictly inside it; cells are (d, 2) arrays in row-major order (last
+    axis fastest)."""
+    edges = []
+    for (lo, hi), c in zip(box, cuts):
+        c = np.asarray(c, dtype=float)
+        pts = np.unique(np.concatenate([[lo], c[(c > lo) & (c < hi)], [hi]]))
+        edges.append(list(zip(pts[:-1], pts[1:])))
+    return [np.array(cell) for cell in itertools.product(*edges)]
 
 
 def fourier_sum(pts, nodes, weights):

@@ -20,7 +20,7 @@ from .analyzers import AnalysisFunctional, analyze, fourier_symbol
 from .errors import InvalidParams, UnsupportedInput
 from .functions import TestFunction
 from .generators import Generator
-from .lattice import DilationMatrix
+from .lattice import DilationMatrix, map_box
 from .quadrature import as_points, fourier_sum, grid_lp_norm, grid_points
 
 
@@ -133,14 +133,8 @@ def spectrum_support(spec: OperatorSpec):
     """Bounding box of the transform of Q_j f: M*^j applied to supp phi^."""
     if spec.generator.fourier_support is None:
         raise UnsupportedInput("generator is not band-limited")
-    return _map_box(spec.dilation.adjoint_power(spec.level),
-                    spec.generator.fourier_support)
-
-
-def _map_box(A, box):
-    corners = np.array(list(itertools.product(*box)))
-    mapped = corners @ A.T
-    return np.stack([mapped.min(axis=0), mapped.max(axis=0)], axis=1)
+    return map_box(spec.dilation.adjoint_power(spec.level),
+                   spec.generator.fourier_support)
 
 
 def alias_shifts(spec: OperatorSpec, f: TestFunction):
@@ -154,7 +148,7 @@ def alias_shifts(spec: OperatorSpec, f: TestFunction):
     S = spectrum_support(spec)
     diff = np.stack([f.fourier_support[:, 0] - S[:, 1],
                      f.fourier_support[:, 1] - S[:, 0]], axis=1)
-    back = _map_box(np.linalg.inv(spec.dilation.adjoint_power(spec.level)), diff)
+    back = map_box(np.linalg.inv(spec.dilation.adjoint_power(spec.level)), diff)
     lo = np.ceil(back[:, 0] - 1e-12).astype(int)
     hi = np.floor(back[:, 1] + 1e-12).astype(int)
     return [np.array(k) for k in

@@ -14,7 +14,8 @@ import numpy as np
 
 from .errors import InvalidParams, UnsupportedInput
 from .functions import TestFunction, from_profile
-from .quadrature import gauss_nodes_box, grid_lp_norm, grid_points
+from .lattice import map_box
+from .quadrature import fourier_sum, gauss_nodes_box, grid_lp_norm, grid_points
 
 DEFAULT_SERIES_CAP = 64
 
@@ -197,9 +198,7 @@ def best_approx(f: TestFunction, A, p, box, grid: int) -> BestApproxResult:
     if f.fourier is None or f.fourier_support is None:
         raise UnsupportedInput(
             f"{f.name} needs a Fourier profile for best approximation")
-    corners = np.array(list(np.ndindex(*(2,) * A.shape[0]))) - 0.5
-    mapped = corners @ A  # A* T^d corners, A* = A transpose
-    band = np.stack([mapped.min(axis=0), mapped.max(axis=0)], axis=1)
+    band = map_box(A.T, [[-0.5, 0.5]] * A.shape[0])  # A* T^d, A* = A transpose
     if p == 2:
         return BestApproxResult(value=math.sqrt(max(spectrum_tail_mass(f, band), 0.0)),
                                 exact=True, method="parseval-tail")
@@ -210,7 +209,7 @@ def best_approx(f: TestFunction, A, p, box, grid: int) -> BestApproxResult:
     resid = (1.0 - eta_profile(nodes @ Astar_inv.T)) * \
         np.asarray(f.fourier(nodes), dtype=complex) * w
     pts, vol = grid_points(np.asarray(box, dtype=float), grid)
-    vals = np.exp(2j * np.pi * (pts @ nodes.T)) @ resid
+    vals = fourier_sum(pts, nodes, resid)
     return BestApproxResult(value=grid_lp_norm(vals, vol, p),
                             exact=False, method="near-best-vallee-poussin")
 

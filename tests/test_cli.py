@@ -86,10 +86,15 @@ def test_bad_config_exit_1(tmp_path):
 
 
 def test_malformed_config_values_exit_1(tmp_path, capsys):
-    for sec, key, value in (("experiment", "grid", "big"),
-                            ("experiment", "levels", [True, 2])):
+    for sec, key, value, dim in (("experiment", "grid", "big", 1),
+                                 ("experiment", "levels", [True, 2], 1),
+                                 ("experiment", "box", [["a", 6.0]], 1),
+                                 ("experiment", "box", [[-4.0]], 1),
+                                 ("experiment", "box", 5, 1),
+                                 ("experiment", "box", [[-4.0, 4.0]], 2)):
         data = json.loads(json.dumps(GOOD))
         data[sec][key] = value
+        data["operator"]["dim"] = dim
         assert main(["rates", _write(tmp_path, data)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"{sec}.{key}" in err

@@ -7,6 +7,7 @@ from quasiproj.errors import InvalidParams, UnsupportedInput
 from quasiproj.functions import (band_bump, check_consistency, gaussian, get,
                                  hat_tensor, sinc_tensor, translate)
 from quasiproj.quadrature import integrate_box
+from quasiproj.smoothness import fractional_laplacian
 
 
 def test_gaussian_values():
@@ -91,3 +92,18 @@ def test_catalog_lookup():
     assert get("band_bump", 1, rho=0.3).fourier_support[0, 1] == pytest.approx(0.3)
     with pytest.raises(InvalidParams):
         get("nope", 1)
+
+
+@pytest.mark.parametrize("make, far", [
+    (lambda: band_bump(0.4, 1), 60.0),
+    (lambda: translate(band_bump(0.4, 1), 0.3), 60.0),
+    (lambda: fractional_laplacian(band_bump(0.4, 1), 1.5), 500.0),
+], ids=["band_bump", "translate", "fractional_laplacian"])
+def test_profile_values_do_not_depend_on_call_history(make, far):
+    # the far field converges only at a higher order; a value must not
+    # depend on whether such a call came first
+    f = make()
+    x = np.linspace(-3.0, 3.0, 7)[:, None]
+    first = f.spatial(x)
+    f.spatial(np.array([[far]]))
+    assert np.array_equal(f.spatial(x), first)

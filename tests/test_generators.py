@@ -131,3 +131,15 @@ def test_unknown_kind_rejected():
         make_generator("NoSuchThing", {}, 1)
     with pytest.raises(InvalidParams):
         make_generator("TensorSincPower", {"n": 0}, 1)
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("RationalBandlimited", {}),
+    ("BochnerRiesz", {"s": 2.0, "gamma": 1.0}),
+])
+def test_quadrature_values_do_not_depend_on_call_history(kind, params):
+    g = make_generator(kind, params, 1)
+    x = np.linspace(-3.0, 3.0, 7)
+    first = g.spatial(x)
+    g.spatial(200.0)  # converges only at a higher order
+    assert np.array_equal(g.spatial(x), first)

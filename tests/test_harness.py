@@ -87,10 +87,20 @@ def test_config_boolean_levels_rejected():
     ("experiment.grid", "big"),
     ("experiment.p", [2]),
     ("experiment.modulus_order", "second"),
+    ("experiment.box", [["a", 6.0]]),
+    ("experiment.box", [[-4.0]]),
+    ("experiment.box", 5),
 ])
 def test_config_non_numeric_field(field, value):
     with pytest.raises(ConfigError, match=field):
         _cfg(**{field: value})
+
+
+@pytest.mark.parametrize("box", [[[-4.0, 4.0]], [[1.0, -1.0], [0.0, 1.0]],
+                                 [[-4.0, float("inf")], [0.0, 1.0]]])
+def test_config_box_needs_dim_ordered_finite_rows(box):
+    with pytest.raises(ConfigError, match="experiment.box"):
+        _cfg(**{"operator.dim": 2, "experiment.box": box})
 
 
 def test_config_bad_format():
@@ -141,6 +151,22 @@ def test_threaded_run_matches_serial(monkeypatch):
     monkeypatch.setenv("QUASIPROJ_THREADS", "2")
     threaded = json.loads(emit(run_experiment(cfg), "json"))
     # the worker count is recorded in provenance and differs by design
+    serial["provenance"].pop("threads")
+    threaded["provenance"].pop("threads")
+    assert serial == threaded
+
+
+def test_threaded_run_matches_serial_profile_signal(monkeypatch):
+    # one profile-backed signal shared by the level threads, whose modulus
+    # evaluates it by inverse-Fourier quadrature at many points
+    cfg = _cfg(**{"function.name": "band_bump",
+                  "function.params": {"rho": 0.4},
+                  "experiment.with_modulus": True,
+                  "experiment.modulus_order": 1.5,
+                  "experiment.grid": 128})
+    serial = json.loads(emit(run_experiment(cfg), "json"))
+    monkeypatch.setenv("QUASIPROJ_THREADS", "2")
+    threaded = json.loads(emit(run_experiment(cfg), "json"))
     serial["provenance"].pop("threads")
     threaded["provenance"].pop("threads")
     assert serial == threaded

@@ -6,8 +6,9 @@ import pytest
 
 from quasiproj import quadrature
 from quasiproj.errors import QuadratureFailure
-from quasiproj.quadrature import (as_points, fourier_sum, gauss_nodes_box,
-                                  grid_lp_norm, grid_points, integrate_box)
+from quasiproj.quadrature import (as_points, converge, fourier_sum,
+                                  gauss_nodes_box, grid_lp_norm, grid_points,
+                                  integrate_box, split_box)
 
 
 def test_gauss_constant_weight_sum():
@@ -37,10 +38,48 @@ def test_integrate_gaussian_2d():
 
 
 def test_integrate_raises_at_cap():
-    # indicator of an interval is too rough for the doubling rule
-    with pytest.raises(QuadratureFailure):
+    # indicator of an interval is too rough for the doubling rule; the
+    # message names the stage that failed and its cap
+    with pytest.raises(QuadratureFailure, match="box integral .* order 64"):
         integrate_box(lambda t: (t[:, 0] > 1 / 3).astype(float),
                       [[0.0, 1.0]], tol=1e-14, max_order=64)
+    with pytest.raises(QuadratureFailure, match="stage X"):
+        converge(lambda n: 1.0 / n, 4, 16, 1e-3, "stage X")
+
+
+def test_converge_doubles_from_start():
+    orders = []
+
+    def evaluate(n):
+        orders.append(n)
+        return np.array([1.0 / n, 0.0])
+
+    # changes 1/8, 1/16, 1/32: the first within 0.05 is at order 32
+    assert converge(evaluate, 4, 64, 0.05, "test")[0] == 1.0 / 32
+    assert orders == [4, 8, 16, 32]
+
+
+def _split_reference(box, cuts):
+    edges = []
+    for (lo, hi), c in zip(box, cuts):
+        pts = [lo] + sorted(t for t in c if lo < t < hi) + [hi]
+        edges.append([(a, b) for a, b in zip(pts[:-1], pts[1:])])
+    return [np.array(cell) for cell in itertools.product(*edges)]
+
+
+@pytest.mark.parametrize("box, cuts", [
+    ([[-1.5, 1.5]], [[-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5]]),  # edge cuts
+    ([[-0.4, 0.4]], [[0.0]]),
+    ([[0.0, 0.4]], [[0.0]]),                                     # cut on lo
+    ([[-1.0, 1.0], [-0.5, 0.25]], [[-1.0, 0.0, 0.5], [0.0, 0.25, 3.0]]),
+    ([[-9.0, 9.0], [0.0, 1.0]], [[0.0], [0.0]]),
+])
+def test_split_box_matches_itertools(box, cuts):
+    got = split_box(np.array(box), cuts)
+    want = _split_reference(box, cuts)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
 
 
 def test_grid_points_midpoints():

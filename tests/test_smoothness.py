@@ -5,10 +5,12 @@ import pytest
 
 from quasiproj.errors import InvalidParams, UnsupportedInput
 from quasiproj.functions import TestFunction, band_bump, gaussian, translate
-from quasiproj.quadrature import grid_points
+from quasiproj import quadrature
+from quasiproj.quadrature import gauss_nodes_box, grid_lp_norm, grid_points
 from quasiproj.smoothness import (ModulusSpec, best_approx, besov_partial_norm,
-                                  fractional_binomials, fractional_difference,
-                                  fractional_laplacian, modulus, step_net)
+                                  eta_profile, fractional_binomials,
+                                  fractional_difference, fractional_laplacian,
+                                  modulus, step_net)
 
 BOX = np.array([[-8.0, 8.0]])
 
@@ -109,6 +111,33 @@ def test_best_approx_sup_norm_is_flagged_upper_bound():
     assert not res.exact
     assert res.method == "near-best-vallee-poussin"
     assert 0 < res.value < 1e-2
+
+
+def test_best_approx_p1_2d_builds_bounded_phase_blocks(monkeypatch):
+    f = gaussian(2)
+    A = np.array([[1.0, 1.0], [1.0, -1.0]])  # quincunx
+    box = np.array([[-4.0, 4.0], [-4.0, 4.0]])
+    # dense reference: one points x nodes phase matrix
+    nodes, w = gauss_nodes_box(f.fourier_support, 64)
+    resid = (1.0 - eta_profile(nodes @ np.linalg.inv(A.T).T)) * \
+        np.asarray(f.fourier(nodes), dtype=complex) * w
+    pts, vol = grid_points(box, 16)
+    want = grid_lp_norm(np.exp(2j * np.pi * (pts @ nodes.T)) @ resid, vol, 1)
+    blocks = []
+    exp = np.exp
+
+    def spy(z):
+        if np.iscomplexobj(z) and np.ndim(z) == 2:
+            blocks.append(np.size(z))
+        return exp(z)
+
+    # 256 points x 64^2 nodes is ten times the patched bound
+    monkeypatch.setattr(quadrature, "MAX_BLOCK", 100_000)
+    monkeypatch.setattr(np, "exp", spy)
+    res = best_approx(f, A, 1, box, 16)
+    assert 0 < max(blocks) <= 100_000
+    assert not res.exact
+    assert abs(res.value - want) <= 1e-12 * want
 
 
 def test_best_approx_needs_profile():
