@@ -63,7 +63,7 @@ def _catalog_text() -> str:
     lines.append("analyzers:")
     lines += [f"  {k}" for k in analyzers.KINDS]
     lines.append("functions:")
-    lines += [f"  {k}" for k in ("gaussian", "band_bump", "hat", "sinc")]
+    lines += [f"  {k}" for k in functions.SIGNALS]
     return "\n".join(lines) + "\n"
 
 
@@ -78,18 +78,13 @@ def main(argv=None) -> int:
             _write(json.dumps(condition_summary(cfg), sort_keys=True,
                               indent=2) + "\n", args.output)
             return 0
-        if args.command == "approximate":
+        if args.command in ("approximate", "rates"):
             if getattr(args, "level", None) is not None:
                 data = dict(cfg.raw)
                 data["experiment"] = dict(data.get("experiment", {}))
                 data["experiment"]["levels"] = [args.level]
                 cfg = ExperimentConfig.from_dict(data)
-            report = run_experiment(cfg)
-            _write(emit(report, cfg.output_format), args.output)
-            return 0
-        if args.command == "rates":
-            report = run_experiment(cfg)
-            _write(emit(report, cfg.output_format), args.output)
+            _write(emit(run_experiment(cfg), cfg.output_format), args.output)
             return 0
         if args.command == "reconstruct":
             f = build_function(cfg)

@@ -1,12 +1,13 @@
 """Structural condition checkers for generator/analyzer pairs.
 
 All checks are numerical: vanishing orders are detected through central
-finite differences of the relevant Fourier profiles near the origin, with a
+finite differences of the relevant Fourier profiles near the origin (the
+binomial stencil `smoothness.difference` that the moduli use), with a
 two-level Richardson sweep and a fixed zero threshold, so the reported
 orders are certificates of observed behavior rather than symbolic proofs.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -14,21 +15,29 @@ from .analyzers import AnalysisFunctional, fourier_symbol
 from .errors import InvalidParams, NonSummableDecay
 from .generators import Generator
 from .quadrature import grid_points
+from .smoothness import difference
 
 ZERO_TOL = 1e-7
 MAX_ORDER = 8
 DIFF_STEPS = (1e-2, 5e-3, 2.5e-3)
 
 
-def _central_difference(fn, order, h, dim, axis):
-    """Order-th symmetric difference of fn along one axis at the origin."""
-    from math import comb
-    pts = np.zeros((order + 1, dim))
-    w = np.empty(order + 1)
-    for k in range(order + 1):
-        pts[k, axis] = (order / 2.0 - k) * h
-        w[k] = (-1) ** k * comb(order, k)
-    return complex(np.dot(w, np.asarray(fn(pts), dtype=complex)))
+def _central_difference(fn, x, order, h, axis):
+    """Order-th symmetric difference of fn with step h along one axis, centred
+    at the rows of x (n, d)."""
+    e = np.zeros(x.shape[1])
+    e[axis] = h
+    return difference(fn, x + 0.5 * order * e, -e, order)
+
+
+def _defect(g: Generator, a: AnalysisFunctional):
+    """The compatibility defect 1 - phi^ conj(symbol) as a function of points."""
+
+    def defect(pts):
+        return 1.0 - np.asarray(g.fourier(pts), dtype=complex) * \
+            np.conj(np.asarray(fourier_symbol(a, pts), dtype=complex))
+
+    return defect
 
 
 def _richardson_scan(fn, dim, axis):
@@ -37,7 +46,7 @@ def _richardson_scan(fn, dim, axis):
     for order in range(1, MAX_ORDER + 1):
         vals, raws = [], []
         for h in DIFF_STEPS:
-            d = _central_difference(fn, order, h, dim, axis)
+            d = _central_difference(fn, np.zeros((1, dim)), order, h, axis)[0]
             raws.append(abs(d))
             vals.append(abs(d) / h ** order)
         # two Richardson levels: cancels the next two even-order error terms
@@ -81,11 +90,7 @@ def weak_compat_order(g: Generator, a: AnalysisFunctional) -> int:
     normalization itself fails there)."""
     if g.dim != a.dim:
         raise InvalidParams(f"dimension mismatch: {g.dim} vs {a.dim}")
-
-    def defect(pts):
-        return 1.0 - np.asarray(g.fourier(pts), dtype=complex) * \
-            np.conj(np.asarray(fourier_symbol(a, pts), dtype=complex))
-
+    defect = _defect(g, a)
     if abs(defect(np.zeros((1, g.dim)))[0]) > ZERO_TOL:
         return 0
     return int(min(_richardson_scan(defect, g.dim, axis)
@@ -100,13 +105,12 @@ def strict_compat_radius(g: Generator, a: AnalysisFunctional,
     """
     if g.dim != a.dim:
         raise InvalidParams(f"dimension mismatch: {g.dim} vs {a.dim}")
+    defect = _defect(g, a)
     for i in range(0, 9):
         delta = 2.0 ** (-i)
         box = np.array([[-0.5 * delta, 0.5 * delta]] * g.dim)
         pts, _ = grid_points(box, grid)  # midpoints: strictly inside
-        vals = np.conj(np.asarray(g.fourier(pts), dtype=complex)) * \
-            np.asarray(fourier_symbol(a, pts), dtype=complex)
-        if np.max(np.abs(vals - 1.0)) <= tol:
+        if np.max(np.abs(defect(pts))) <= tol:
             return delta
     return 0.0
 
@@ -122,11 +126,7 @@ def mikhlin_constant(g: Generator, a: AnalysisFunctional,
     d = g.dim
     if order is None:
         order = d // 2 + 1
-
-    def defect(pts):
-        return 1.0 - np.asarray(g.fourier(pts), dtype=complex) * \
-            np.conj(np.asarray(fourier_symbol(a, pts), dtype=complex))
-
+    defect = _defect(g, a)
     best = 0.0
     for e in range(-6, 7):
         r = 2.0 ** e
@@ -141,13 +141,8 @@ def mikhlin_constant(g: Generator, a: AnalysisFunctional,
         h = 1e-3 * r
         for gamma in range(1, order + 1):
             for axis in range(d):
-                from math import comb
-                acc = np.zeros(sel.shape[0], dtype=complex)
-                for k in range(gamma + 1):
-                    shift = np.zeros(d)
-                    shift[axis] = (gamma / 2.0 - k) * h
-                    acc += (-1) ** k * comb(gamma, k) * defect(sel + shift)
-                deriv = np.abs(acc) / h ** gamma
+                deriv = np.abs(_central_difference(defect, sel, gamma, h,
+                                                   axis)) / h ** gamma
                 best = max(best, float(np.max(rad[mask] ** gamma * deriv)))
     return best
 
@@ -187,11 +182,7 @@ class ConditionReport:
     caveats: tuple
 
     def to_dict(self):
-        return {"strang_fix": self.strang_fix,
-                "weak_compat": self.weak_compat,
-                "strict_delta": self.strict_delta,
-                "mikhlin": self.mikhlin,
-                "caveats": list(self.caveats)}
+        return {**asdict(self), "caveats": list(self.caveats)}
 
 
 def condition_report(g: Generator, a: AnalysisFunctional) -> ConditionReport:

@@ -11,6 +11,8 @@ on earlier calls.
 """
 
 from dataclasses import dataclass, field
+import itertools
+import numbers
 from typing import Callable, Optional
 
 import numpy as np
@@ -131,8 +133,8 @@ def gaussian(dim: int = 1) -> TestFunction:
 
 def band_bump(rho: float = 0.4, dim: int = 1) -> TestFunction:
     """Band-limited bump: inverse transform of a C-infinity profile on [-rho, rho]^d."""
-    if not 0 < rho:
-        raise InvalidParams(f"band_bump needs rho > 0, got {rho}")
+    if not (isinstance(rho, numbers.Real) and rho > 0):
+        raise InvalidParams(f"band_bump needs a number rho > 0, got {rho!r}")
 
     def profile(pts):
         u = pts / rho
@@ -194,26 +196,32 @@ def translate(f: TestFunction, shift) -> TestFunction:
 
 
 def _multi_indices(dim, per_axis_max):
-    out = []
-    if dim == 1:
-        return [(k,) for k in range(per_axis_max + 1)]
-    if dim == 2:
-        return [(i, j) for i in range(per_axis_max + 1)
-                for j in range(per_axis_max + 1)]
-    return [tuple(0 for _ in range(dim))]
+    if dim > 2:
+        return [(0,) * dim]
+    return list(itertools.product(range(per_axis_max + 1), repeat=dim))
 
 
-def get(name: str, dim: int = 1, **kwargs) -> TestFunction:
+# the test signals the experiment configs name: name -> (builder taking the
+# dimension and the parameters, the parameter names it takes)
+SIGNALS = {
+    "gaussian": (gaussian, ()),
+    "band_bump": (lambda dim, rho=0.4: band_bump(rho, dim), ("rho",)),
+    "hat": (hat_tensor, ()),
+    "sinc": (sinc_tensor, ()),
+}
+
+
+def get(name: str, dim: int = 1, **params) -> TestFunction:
     """Catalog lookup used by the experiment configs."""
-    if name == "gaussian":
-        return gaussian(dim)
-    if name == "band_bump":
-        return band_bump(kwargs.get("rho", 0.4), dim)
-    if name == "hat":
-        return hat_tensor(dim)
-    if name == "sinc":
-        return sinc_tensor(dim)
-    raise InvalidParams(f"unknown test function {name!r}")
+    if name not in SIGNALS:
+        raise InvalidParams(f"unknown test function {name!r}; choose from "
+                            f"{tuple(SIGNALS)}")
+    build, names = SIGNALS[name]
+    unknown = sorted(set(params) - set(names))
+    if unknown:
+        raise InvalidParams(f"{name} takes no parameter {unknown}; it takes "
+                            f"{list(names)}")
+    return build(dim, **params)
 
 
 def check_consistency(f: TestFunction, n_points: int = 20, tol: float = 1e-8):

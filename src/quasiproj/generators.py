@@ -16,8 +16,16 @@ import numpy as np
 from .errors import InvalidParams, QuadratureFailure
 from .quadrature import as_points, inverse_fourier
 
-KINDS = ("TensorSincPower", "BSplineTensor", "BochnerRiesz",
-         "RationalBandlimited", "FourierProfile")
+# kind -> its parameters and their defaults; a numeric default also sets the
+# type a value is cast to, None takes the value as given
+PARAMS = {
+    "TensorSincPower": {"n": 1, "a": 1.0},
+    "BSplineTensor": {"n": 1},
+    "BochnerRiesz": {"s": 2.0, "gamma": 1.0},
+    "RationalBandlimited": {},
+    "FourierProfile": {"profile": None, "support": None, "decay": None},
+}
+KINDS = tuple(PARAMS)
 
 SPATIAL_TOL = 1e-10
 
@@ -133,24 +141,24 @@ def make_generator(kind: str, params=None, dim: int = 1) -> Generator:
       RationalBandlimited: phi^ = indicator of the torus / prod sinc;
       FourierProfile: user profile with a declared support box or decay rate.
     """
-    params = dict(params or {})
+    if kind not in PARAMS:
+        raise InvalidParams(f"unknown generator kind {kind!r}; choose from {KINDS}")
+    params = _parameters(kind, dict(params or {}))
     if kind == "TensorSincPower":
-        n = int(params.get("n", 1))
-        a = float(params.get("a", 1.0))
+        n, a = params["n"], params["a"]
         if n < 1 or a <= 0:
             raise InvalidParams(f"TensorSincPower needs n >= 1, a > 0, got n={n}, a={a}")
         half = n / (2.0 * a)
         box = np.array([[-half, half]] * dim)
         return Generator(kind, {"n": n, "a": a}, dim, box, None, float(n))
     if kind == "BSplineTensor":
-        n = int(params.get("n", 1))
+        n = params["n"]
         if n < 1:
             raise InvalidParams(f"BSplineTensor needs n >= 1, got {n}")
         supp = np.array([[-n / 2.0, n / 2.0]] * dim)
         return Generator(kind, {"n": n}, dim, None, supp, None)
     if kind == "BochnerRiesz":
-        s = float(params.get("s", 2.0))
-        gamma = float(params.get("gamma", 1.0))
+        s, gamma = params["s"], params["gamma"]
         if s <= 0:
             raise InvalidParams(f"BochnerRiesz needs s > 0, got {s}")
         if gamma <= (dim - 1) / 2.0:
@@ -162,13 +170,26 @@ def make_generator(kind: str, params=None, dim: int = 1) -> Generator:
     if kind == "RationalBandlimited":
         box = np.array([[-0.5, 0.5]] * dim)
         return Generator(kind, {}, dim, box, None, 1.0)
-    if kind == "FourierProfile":
-        profile = params.get("profile")
-        if not callable(profile):
-            raise InvalidParams("FourierProfile needs a callable 'profile'")
-        support = params.get("support")
-        box = None if support is None else np.asarray(support, dtype=float)
-        decay = params.get("decay")
-        return Generator(kind, {"profile": profile}, dim, box, None, decay)
-    raise InvalidParams(f"unknown generator kind {kind!r}; choose from {KINDS}")
+    profile = params["profile"]  # FourierProfile
+    if not callable(profile):
+        raise InvalidParams("FourierProfile needs a callable 'profile'")
+    support = params["support"]
+    box = None if support is None else np.asarray(support, dtype=float)
+    return Generator(kind, {"profile": profile}, dim, box, None,
+                     params["decay"])
+
+
+def _parameters(kind, params):
+    """params checked against PARAMS[kind]: known names only, and numbers
+    cast to the type of their default."""
+    defaults = PARAMS[kind]
+    bad = InvalidParams(f"bad {kind} parameters {params}; it takes "
+                        f"{list(defaults)}")
+    if set(params) - set(defaults):
+        raise bad
+    try:
+        return {k: params.get(k) if d is None else type(d)(params.get(k, d))
+                for k, d in defaults.items()}
+    except (TypeError, ValueError):
+        raise bad from None
 

@@ -6,7 +6,7 @@ testable invariant rather than an aspiration.
 """
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 import csv
 import hashlib
 import io
@@ -15,13 +15,13 @@ import os
 
 import numpy as np
 
-from . import functions
+from . import analyzers, functions, generators
 from .analyzers import make_analyzer
 from .conditions import condition_report, strict_compat_radius
 from .errors import (ConfigError, HypothesisViolated, InvalidParams,
                      NonPositiveValue)
 from .generators import make_generator
-from .lattice import make_dilation, map_box
+from .lattice import MAX_DIM, make_dilation, map_box
 from .quadrature import grid_points
 from .quasiprojection import (OperatorSpec, error_lp, evaluate_grid_compact,
                               spectral_evaluator)
@@ -74,7 +74,34 @@ class ExperimentConfig:
                 raise ConfigError(f"config field {section}.{key} must be a "
                                   f"number, got {value!r}") from None
 
+        def choice(sec, key, kinds):
+            value = need(sec, key)
+            if value not in tuple(kinds):
+                raise ConfigError(f"config field {sec}.{key} must be one of "
+                                  f"{tuple(kinds)}, got {value!r}")
+            return value
+
+        def params(sec, key, build):
+            """A parameter section: a JSON object that build accepts."""
+            value = need(sec, key, {})
+            if not isinstance(value, dict):
+                raise ConfigError(f"config field {sec}.{key} must be a JSON "
+                                  f"object, got {value!r}")
+            try:
+                build(value)
+            # make_analyzer takes its parameters as keywords: an unknown one
+            # is a TypeError, a non-integer beta a ValueError
+            except (InvalidParams, TypeError, ValueError) as exc:
+                raise ConfigError(f"config field {sec}.{key}: {exc}") from None
+            return value
+
         dim = need("operator", "dim", 1, int)
+        if not 1 <= dim <= MAX_DIM:
+            raise ConfigError(f"config field operator.dim must be in "
+                              f"1..{MAX_DIM}, got {dim}")
+        gen = choice("operator", "generator", generators.KINDS)
+        ana = choice("operator", "analyzer", analyzers.KINDS)
+        name = choice("function", "name", functions.SIGNALS)
         dil = need("operator", "dilation")
         levels = need("experiment", "levels")
         if not (isinstance(levels, list) and levels and
@@ -88,13 +115,16 @@ class ExperimentConfig:
         if fmt not in ("json", "csv"):
             raise ConfigError(f"output.format must be json or csv, got {fmt!r}")
         return ExperimentConfig(
-            generator_kind=need("operator", "generator"),
-            generator_params=need("operator", "generator_params", {}),
-            analyzer_kind=need("operator", "analyzer"),
-            analyzer_params=need("operator", "analyzer_params", {}),
+            generator_kind=gen,
+            generator_params=params("operator", "generator_params",
+                                    lambda v: make_generator(gen, v, dim)),
+            analyzer_kind=ana,
+            analyzer_params=params("operator", "analyzer_params",
+                                   lambda v: make_analyzer(ana, dim, **v)),
             dilation=tuple(tuple(row) for row in np.atleast_2d(dil).tolist()),
-            function_name=need("function", "name"),
-            function_params=need("function", "params", {}),
+            function_name=name,
+            function_params=params("function", "params",
+                                   lambda v: functions.get(name, dim, **v)),
             dim=dim,
             levels=tuple(levels),
             p=p,
@@ -236,24 +266,14 @@ class ExperimentReport:
     provenance: dict
 
     def to_dict(self):
-        rows = []
-        for r in self.rows:
-            rows.append({"level": r.level, "error": r.error,
-                         "modulus": r.modulus, "best_approx": r.best_approx,
-                         "ratio": r.ratio})
-        return {"config_digest": self.config_digest,
-                "levels": list(self.levels),
-                "rows": rows,
-                "rate": self.rate,
-                "rate_residual": self.rate_residual,
-                "provenance": self.provenance}
+        return asdict(self)
 
 
 def _level_row(cfg: ExperimentConfig, f, level: int) -> LevelResult:
     spec = build_operator(cfg, level)
     approx = apply_operator(spec, f)
     box = np.asarray(cfg.box, dtype=float)
-    err = error_lp(f, approx, cfg.p, box, cfg.grid).value
+    err = error_lp(f, approx, cfg.p, box, cfg.grid)
     row = LevelResult(level=level, error=err)
     A = np.linalg.inv(spec.dilation.power(level))
     if cfg.with_modulus:

@@ -5,7 +5,7 @@ modulus; its positive powers refine the integer lattice.  Everything downstream
 (generators, coefficients, moduli) works relative to such a matrix.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import itertools
 
 import numpy as np
@@ -27,7 +27,6 @@ class DilationMatrix:
     dim: int
     det_abs: float
     isotropic: bool
-    eig_moduli: np.ndarray = field(repr=False)
 
     def power(self, j: int) -> np.ndarray:
         """Matrix power M^j; j may be negative, power(0) is the identity."""
@@ -68,7 +67,7 @@ def make_dilation(entries) -> DilationMatrix:
         raise NotExpansive(f"eigenvalue moduli {sorted(moduli)} must all exceed 1")
     iso = bool(np.max(moduli) - np.min(moduli) <= _ISO_RTOL * np.max(moduli))
     return DilationMatrix(entries=a.copy(), dim=d, det_abs=float(abs(det)),
-                          isotropic=iso, eig_moduli=np.sort(moduli))
+                          isotropic=iso)
 
 
 def operator_norm(A) -> float:

@@ -206,25 +206,16 @@ def spectral_evaluator(spec: OperatorSpec, f: TestFunction):
 
 # -- error norms ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GridNorm:
-    value: float
-    spacing: float
-    grid: int
-
-
 def _eval_on(fn, pts):
     if isinstance(fn, TestFunction):
         return np.asarray(fn.spatial(pts))
     return np.asarray(fn(pts))
 
 
-def error_lp(f, approx, p, box, grid: int) -> GridNorm:
+def error_lp(f, approx, p, box, grid: int) -> float:
     """Riemann-sum L_p(box) norm of f - approx on a uniform midpoint grid."""
     if grid < 2:
         raise InvalidParams(f"grid must be >= 2 per axis, got {grid}")
-    box = np.asarray(box, dtype=float)
-    pts, vol = grid_points(box, grid)
+    pts, vol = grid_points(np.asarray(box, dtype=float), grid)
     diff = _eval_on(f, pts).astype(complex) - _eval_on(approx, pts).astype(complex)
-    spacing = float(np.max((box[:, 1] - box[:, 0]) / grid))
-    return GridNorm(value=grid_lp_norm(diff, vol, p), spacing=spacing, grid=grid)
+    return grid_lp_norm(diff, vol, p)

@@ -7,7 +7,7 @@ sup; rate and ratio experiments only ever compare them across levels, which
 is insensitive to the uniform sampling bias.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import math
 
 import numpy as np
@@ -17,7 +17,9 @@ from .functions import TestFunction, from_profile
 from .lattice import map_box
 from .quadrature import fourier_sum, gauss_nodes_box, grid_lp_norm, grid_points
 
-DEFAULT_SERIES_CAP = 64
+SERIES_CAP = 64          # last term of a fractional-order difference series
+DIRECTIONS = 16          # angular directions of the step net in 2-D
+RADII = 6                # radius ladder 1 - 2^-i, i = 1..RADII
 
 
 @dataclass(frozen=True)
@@ -25,9 +27,6 @@ class ModulusSpec:
     order: float
     matrix: np.ndarray
     p: float
-    direction_samples: int = 16
-    radius_samples: int = 6
-    series_cap: int = DEFAULT_SERIES_CAP
 
     def __post_init__(self):
         object.__setattr__(self, "matrix",
@@ -39,8 +38,6 @@ class ModulusSpec:
 @dataclass(frozen=True)
 class ModulusResult:
     value: float
-    step: np.ndarray
-    grid_spacing: float
     net_size: int
 
 
@@ -60,30 +57,30 @@ def fractional_binomials(s: float, cap: int):
     return out
 
 
-def _difference_weights(s: float, cap: int):
-    if float(s).is_integer():
-        n = int(round(s))
-        b = fractional_binomials(float(n), n)
-        return np.array([(-1) ** nu * b[nu] for nu in range(n + 1)])
-    b = fractional_binomials(s, cap)
-    return np.array([(-1) ** nu * b[nu] for nu in range(cap + 1)])
+def difference(fn, x, h, s: float, cap: int = SERIES_CAP):
+    """Order-s difference sum_nu (-1)^nu binom(s, nu) fn(x + nu h) at the rows
+    of x (n, d) with step h (d,): the finite sum for integer s, the series cut
+    after nu = cap otherwise.  fn is called once per term."""
+    n = int(s) if float(s).is_integer() else cap
+    b = fractional_binomials(float(s), n)
+    acc = np.zeros(x.shape[0], dtype=complex)
+    for nu in range(n + 1):
+        acc += (-1) ** nu * b[nu] * np.asarray(fn(x + nu * h), dtype=complex)
+    return acc
 
 
-def fractional_difference(f: TestFunction, h, s: float, x, cap: int = DEFAULT_SERIES_CAP):
+def fractional_difference(f: TestFunction, h, s: float, x, cap: int = SERIES_CAP):
     """Value of the order-s difference of f with step h at x, plus a crude
     truncation bound for fractional s (exact series for integer s)."""
     h = np.atleast_1d(np.asarray(h, dtype=float))
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    w = _difference_weights(s, cap)
-    pts = x[None, :] + np.arange(len(w))[:, None] * h[None, :]
-    vals = np.asarray(f.spatial(pts), dtype=complex)
-    total = complex(np.dot(w, vals))
+    total = complex(difference(f.spatial, x[None, :], h, s, cap)[0])
     if float(s).is_integer():
         return total, 0.0
     # |binom(s,nu)| ~ C nu^{-s-1}; bound the tail by the last computed weight
     probe = np.abs(np.asarray(f.spatial(
         x[None, :] + (cap + np.arange(1, 9))[:, None] * h[None, :]))).max()
-    tail = abs(w[-1]) * cap / s * probe
+    tail = abs(fractional_binomials(s, cap)[-1]) * cap / s * probe
     return total, float(tail)
 
 
@@ -93,40 +90,25 @@ def step_net(spec: ModulusSpec):
     d = spec.matrix.shape[0]
     if d == 1:
         dirs = [np.array([1.0]), np.array([-1.0])]
+    elif d == 2:
+        angles = 2.0 * np.pi * np.arange(DIRECTIONS) / DIRECTIONS
+        dirs = [np.array([np.cos(t), np.sin(t)]) for t in angles]
     else:
-        n = max(2, spec.direction_samples)
-        angles = 2.0 * np.pi * np.arange(n) / n
-        if d == 2:
-            dirs = [np.array([np.cos(t), np.sin(t)]) for t in angles]
-        else:
-            dirs = [e * s for e in np.eye(d) for s in (1.0, -1.0)]
-    radii = [1.0 - 2.0 ** (-i) for i in range(1, spec.radius_samples + 1)]
+        dirs = [e * s for e in np.eye(d) for s in (1.0, -1.0)]
+    radii = [1.0 - 2.0 ** (-i) for i in range(1, RADII + 1)]
     return [spec.matrix @ (r * u) for u in dirs for r in radii]
-
-
-def _difference_grid_norm(f, h, s, cap, box, grid, p):
-    w = _difference_weights(s, cap)
-    pts, vol = grid_points(box, grid)
-    acc = np.zeros(pts.shape[0], dtype=complex)
-    for nu, wt in enumerate(w):
-        acc += wt * np.asarray(f.spatial(pts + nu * h), dtype=complex)
-    return grid_lp_norm(acc, vol, p)
 
 
 def modulus(f: TestFunction, spec: ModulusSpec, box, grid: int) -> ModulusResult:
     """Sampled anisotropic modulus: max over the step net of the grid L_p
     norm of the order-s difference.  A lower estimate of the exact sup."""
-    box = np.asarray(box, dtype=float)
+    pts, vol = grid_points(np.asarray(box, dtype=float), grid)
     net = step_net(spec)
-    best, best_h = 0.0, net[0]
+    best = 0.0
     for h in net:
-        val = _difference_grid_norm(f, h, spec.order, spec.series_cap,
-                                    box, grid, spec.p)
-        if val > best:
-            best, best_h = val, h
-    spacing = float(np.max((box[:, 1] - box[:, 0]) / grid))
-    return ModulusResult(value=best, step=best_h, grid_spacing=spacing,
-                         net_size=len(net))
+        best = max(best, grid_lp_norm(difference(f.spatial, pts, h, spec.order),
+                                      vol, spec.p))
+    return ModulusResult(value=best, net_size=len(net))
 
 
 # -- best approximation -----------------------------------------------------
@@ -151,22 +133,14 @@ def _complement_boxes(outer, inner):
     return [b for b in boxes if np.all(b[:, 1] > b[:, 0])]
 
 
-def _gl_integral(func, box, order):
-    nodes, w = gauss_nodes_box(box, order)
-    return float(np.dot(np.asarray(func(nodes), dtype=float), w))
-
-
 def spectrum_tail_mass(f: TestFunction, band_box) -> float:
     """integral of |f^|^2 outside band_box (within the declared support)."""
     if f.fourier is None or f.fourier_support is None:
         raise UnsupportedInput(f"{f.name} lacks a compact Fourier profile")
-
-    def density(pts):
-        return np.abs(np.asarray(f.fourier(pts))) ** 2
-
     total = 0.0
     for b in _complement_boxes(f.fourier_support, band_box):
-        total += _gl_integral(density, b, 192)
+        nodes, w = gauss_nodes_box(b, 192)
+        total += float(np.dot(np.abs(np.asarray(f.fourier(nodes))) ** 2, w))
     return total
 
 

@@ -76,7 +76,7 @@ def test_error_tracks_second_modulus():
     for j in levels:
         spec = _op("TensorSincPower", {"n": 1, "a": 1.0}, "BoxAverage", j)
         ev = spectral_evaluator(spec, f)
-        errs.append(error_lp(f, ev, 2, BOX8, 2048).value)
+        errs.append(error_lp(f, ev, 2, BOX8, 2048))
         A = np.linalg.inv(spec.dilation.power(j))
         mods.append(modulus(f, ModulusSpec(order=2, matrix=A, p=2),
                             BOX8, 1024).value)
@@ -99,7 +99,7 @@ def test_error_rate_meets_compatibility_order():
         spec = _op("BSplineTensor", {"n": 2}, "BoxAverage", j)
         errs.append(error_lp(
             f, lambda p: evaluate_grid_compact(spec, f, p), 2,
-            np.array([[-6.0, 6.0]]), 1024).value)
+            np.array([[-6.0, 6.0]]), 1024))
     slope, _ = rate_fit(list(levels), errs)
     dt = time.monotonic() - t0
     ok = slope <= -order + 0.2 and dt < 60.0

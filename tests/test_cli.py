@@ -91,7 +91,14 @@ def test_malformed_config_values_exit_1(tmp_path, capsys):
                                  ("experiment", "box", [["a", 6.0]], 1),
                                  ("experiment", "box", [[-4.0]], 1),
                                  ("experiment", "box", 5, 1),
-                                 ("experiment", "box", [[-4.0, 4.0]], 2)):
+                                 ("experiment", "box", [[-4.0, 4.0]], 2),
+                                 ("operator", "generator_params", {"n": "x"}, 1),
+                                 ("operator", "generator_params", [1], 1),
+                                 ("operator", "analyzer_params", 3, 1),
+                                 ("function", "params", 3, 1),
+                                 ("function", "params", {"sigma": 2}, 1),
+                                 ("operator", "dim", 0, 0),
+                                 ("operator", "dim", 4, 4)):
         data = json.loads(json.dumps(GOOD))
         data[sec][key] = value
         data["operator"]["dim"] = dim

@@ -9,6 +9,24 @@ from quasiproj.errors import InvalidParams, NonSummableDecay
 from quasiproj.generators import make_generator
 
 
+# the 1-D condition survey (scripts/survey_conditions.py): generator,
+# analyzer, Strang-Fix order, compatibility order, identity radius
+SURVEY = [
+    ("TensorSincPower", {"n": 1, "a": 1.0}, "Dirac", 9, 9, 1.0),
+    ("TensorSincPower", {"n": 1, "a": 1.0}, "BoxAverage", 9, 2, 0.0),
+    ("TensorSincPower", {"n": 3, "a": 4.0}, "Dirac", 9, 2, 0.0),
+    ("TensorSincPower", {"n": 3, "a": 4.0}, "BoxAverage", 9, 2, 0.0),
+    ("BSplineTensor", {"n": 2}, "Dirac", 2, 2, 0.0),
+    ("BSplineTensor", {"n": 2}, "BoxAverage", 2, 2, 0.0),
+    ("BSplineTensor", {"n": 3}, "Dirac", 3, 2, 0.0),
+    ("BSplineTensor", {"n": 3}, "BoxAverage", 3, 2, 0.0),
+    ("BochnerRiesz", {"s": 2.0, "gamma": 1.0}, "Dirac", 9, 2, 0.0),
+    ("BochnerRiesz", {"s": 2.0, "gamma": 1.0}, "BoxAverage", 9, 2, 0.0),
+    ("RationalBandlimited", {}, "Dirac", 9, 2, 0.0),
+    ("RationalBandlimited", {}, "BoxAverage", 9, 9, 1.0),
+]
+
+
 def _sinc():
     return make_generator("TensorSincPower", {"n": 1, "a": 1.0}, 1)
 
@@ -89,3 +107,11 @@ def test_condition_report_round_trip():
     assert d["weak_compat"] == 2
     assert d["strict_delta"] == 0.0
     assert isinstance(d["caveats"], list) and d["caveats"]
+
+
+@pytest.mark.parametrize("gkind, gparams, akind, repro, compat, radius", SURVEY)
+def test_condition_survey_1d(gkind, gparams, akind, repro, compat, radius):
+    g = make_generator(gkind, gparams, 1)
+    a = make_analyzer(akind, 1)
+    assert (strang_fix_order(g), weak_compat_order(g, a),
+            strict_compat_radius(g, a)) == (repro, compat, radius)

@@ -90,6 +90,13 @@ def test_config_boolean_levels_rejected():
     ("experiment.box", [["a", 6.0]]),
     ("experiment.box", [[-4.0]]),
     ("experiment.box", 5),
+    ("operator.generator_params", {"n": "x"}),
+    ("operator.generator_params", [1]),
+    ("operator.analyzer_params", 3),
+    ("function.params", 3),
+    ("function.params", {"sigma": 2}),
+    ("operator.dim", 0),
+    ("operator.dim", 4),
 ])
 def test_config_non_numeric_field(field, value):
     with pytest.raises(ConfigError, match=field):

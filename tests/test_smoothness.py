@@ -8,9 +8,9 @@ from quasiproj.functions import TestFunction, band_bump, gaussian, translate
 from quasiproj import quadrature
 from quasiproj.quadrature import gauss_nodes_box, grid_lp_norm, grid_points
 from quasiproj.smoothness import (ModulusSpec, best_approx, besov_partial_norm,
-                                  eta_profile, fractional_binomials,
-                                  fractional_difference, fractional_laplacian,
-                                  modulus, step_net)
+                                  difference, eta_profile,
+                                  fractional_binomials, fractional_difference,
+                                  fractional_laplacian, modulus, step_net)
 
 BOX = np.array([[-8.0, 8.0]])
 
@@ -43,6 +43,37 @@ def test_fractional_difference_tail_reported():
     assert np.isfinite(tail) and tail >= 0
     # the gaussian is negligible 9+ steps out, so the series is converged
     assert tail < 1e-8
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+@pytest.mark.parametrize("xi, h", [([0.37], [0.21]),
+                                   ([0.37, -1.3], [0.21, 0.05])])
+def test_difference_matches_fourier_multiplier(s, xi, h):
+    # the order-s difference of a character is the multiplier (1 - e^{2 pi i h.xi})^s
+    xi, h = np.array(xi), np.array(h)
+
+    def character(pts):
+        return np.exp(2j * np.pi * (pts @ xi))
+
+    x = np.random.default_rng(1).uniform(-3.0, 3.0, size=(7, len(xi)))
+    want = (1.0 - np.exp(2j * np.pi * (h @ xi))) ** s * character(x)
+    got = difference(character, x, h, s)
+    assert got.shape == (7,)
+    assert np.max(np.abs(got - want)) <= 1e-13
+
+
+@pytest.mark.parametrize("s", [0.5, 1.5])
+def test_fractional_difference_tail_bounds_dropped_mass(s):
+    # sum_nu (-1)^nu binom(s, nu) = 0, and every term past nu = cap has the
+    # same sign, so on a constant signal the cut series is exactly the
+    # dropped binomial mass, |binom(s - 1, cap)|
+    one = TestFunction(name="one", dim=1,
+                       spatial=lambda pts: np.ones(pts.shape[0]))
+    cap = 64
+    mass = abs(math.gamma(s) / (math.factorial(cap) * math.gamma(s - cap)))
+    val, tail = fractional_difference(one, 0.3, s, 0.0, cap=cap)
+    assert abs(val) == pytest.approx(mass, rel=1e-10)
+    assert abs(val) <= tail <= 1.1 * abs(val)
 
 
 def test_step_net_respects_matrix():
