@@ -28,6 +28,7 @@ KINDS = ("Dirac", "DiracDerivative", "BoxAverage", "MixedTensor", "KernelL1",
          "DiracPlusDerivative")
 
 _BOX_TOL = 1e-10
+_BOX_CAP = 512
 
 
 @dataclass(frozen=True)
@@ -178,15 +179,14 @@ def _derivative_term(f, beta, M, j, x):
     return (-1) ** sum(beta) * chain * np.asarray(df(x))
 
 
-def _adaptive_box(f, Minv_j, sites, box, axes, kernel=None, tol=_BOX_TOL,
-                  cap=512):
+def _adaptive_box(f, Minv_j, sites, box, axes, kernel=None):
     """Integrals over t in box of f(M^{-j} (t - k)), times conj(kernel(t))
     when a kernel is given, one per site k (the rows of sites); t spans the
     listed axes and is 0 in the others.
 
-    Orders double from 8 (`converge`) until the largest change over all
-    sites is within tol.  Each order evaluates f on sites x nodes in blocks
-    of at most MAX_BLOCK entries.
+    Orders double from 8 (`converge`) up to _BOX_CAP until the largest
+    change over all sites is within _BOX_TOL.  Each order evaluates f on
+    sites x nodes in blocks of at most MAX_BLOCK entries.
     """
 
     def at(order):
@@ -203,4 +203,5 @@ def _adaptive_box(f, Minv_j, sites, box, axes, kernel=None, tol=_BOX_TOL,
             val.append(vals.reshape(block.shape[0], -1) * kw @ w)
         return np.concatenate(val)
 
-    return converge(at, 8, cap, tol, "analyzer box integral").astype(complex)
+    return converge(at, 8, _BOX_CAP, _BOX_TOL,
+                    "analyzer box integral").astype(complex)

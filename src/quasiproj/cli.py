@@ -19,9 +19,8 @@ import numpy as np
 
 from . import analyzers, functions, generators
 from .errors import HypothesisViolated, QuasiprojError
-from .harness import (ExperimentConfig, build_function, build_operator,
-                      condition_summary, emit, reconstruction_check,
-                      run_experiment)
+from .harness import (ExperimentConfig, build_operator, condition_summary,
+                      emit, reconstruction_check, run_experiment)
 
 
 def _add_config_arg(sub):
@@ -87,9 +86,8 @@ def main(argv=None) -> int:
             _write(emit(run_experiment(cfg), cfg.output_format), args.output)
             return 0
         if args.command == "reconstruct":
-            f = build_function(cfg)
             spec = build_operator(cfg, cfg.levels[0])
-            result = reconstruction_check(spec, f,
+            result = reconstruction_check(spec, cfg.function,
                                           np.asarray(cfg.box, dtype=float),
                                           cfg.grid)
             _write(json.dumps(result, sort_keys=True, indent=2) + "\n",

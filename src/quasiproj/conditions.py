@@ -20,6 +20,11 @@ from .smoothness import difference
 ZERO_TOL = 1e-7
 MAX_ORDER = 8
 DIFF_STEPS = (1e-2, 5e-3, 2.5e-3)
+STRICT_TOL = 1e-9     # strict compatibility: largest |defect| on a box
+STRICT_GRID = 64      # midpoints per axis on each dyadic box
+MIKHLIN_GRID = 48     # points per axis on each annulus' bounding box
+LCAL_RADIUS = 12      # largest lattice shift per axis without compact support
+LCAL_GRID = 96        # midpoints per axis on the unit box
 
 
 def _central_difference(fn, x, order, h, axis):
@@ -97,8 +102,7 @@ def weak_compat_order(g: Generator, a: AnalysisFunctional) -> int:
                    for axis in range(g.dim)))
 
 
-def strict_compat_radius(g: Generator, a: AnalysisFunctional,
-                         tol: float = 1e-9, grid: int = 64) -> float:
+def strict_compat_radius(g: Generator, a: AnalysisFunctional) -> float:
     """Largest dyadic delta in {1, 1/2, ..., 2^-8} with
     conj(phi^) symbol = 1 throughout delta times the torus box (grid check
     on interior midpoints).  Returns 0.0 when even the smallest box fails.
@@ -109,14 +113,13 @@ def strict_compat_radius(g: Generator, a: AnalysisFunctional,
     for i in range(0, 9):
         delta = 2.0 ** (-i)
         box = np.array([[-0.5 * delta, 0.5 * delta]] * g.dim)
-        pts, _ = grid_points(box, grid)  # midpoints: strictly inside
-        if np.max(np.abs(defect(pts))) <= tol:
+        pts, _ = grid_points(box, STRICT_GRID)  # midpoints: strictly inside
+        if np.max(np.abs(defect(pts))) <= STRICT_TOL:
             return delta
     return 0.0
 
 
-def mikhlin_constant(g: Generator, a: AnalysisFunctional,
-                     order: int | None = None, grid: int = 48) -> float:
+def mikhlin_constant(g: Generator, a: AnalysisFunctional) -> float:
     """Diagnostic multiplier bound for the defect 1 - phi^ conj(symbol):
     max over dyadic annuli 2^-6 <= |xi| <= 2^6 of |xi|^[gamma] |D^gamma g|
     for derivative orders up to ceil(d/2)+1, via central differences.
@@ -124,14 +127,13 @@ def mikhlin_constant(g: Generator, a: AnalysisFunctional,
     A sampled maximum, so a lower estimate of the true constant.
     """
     d = g.dim
-    if order is None:
-        order = d // 2 + 1
+    order = d // 2 + 1
     defect = _defect(g, a)
     best = 0.0
     for e in range(-6, 7):
         r = 2.0 ** e
         box = np.array([[-2 * r, 2 * r]] * d)
-        pts, _ = grid_points(box, grid)
+        pts, _ = grid_points(box, MIKHLIN_GRID)
         rad = np.sqrt(np.sum(pts ** 2, axis=-1))
         mask = (rad >= r) & (rad <= 2 * r)
         if not np.any(mask):
@@ -147,8 +149,7 @@ def mikhlin_constant(g: Generator, a: AnalysisFunctional,
     return best
 
 
-def lcal_p_norm(g: Generator, p: float, radius: int = 12,
-                grid: int = 96) -> float:
+def lcal_p_norm(g: Generator, p: float) -> float:
     """Mixed-norm size of phi: L_p norm over the unit box of the lattice
     periodization of |phi| (finite for declared decay rate > 1).
 
@@ -160,9 +161,9 @@ def lcal_p_norm(g: Generator, p: float, radius: int = 12,
             raise NonSummableDecay(
                 f"{g.kind} decays too slowly for a summable periodization")
     box = np.array([[-0.5, 0.5]] * g.dim)
-    pts, vol = grid_points(box, grid)
+    pts, vol = grid_points(box, LCAL_GRID)
     acc = np.zeros(pts.shape[0])
-    half = radius
+    half = LCAL_RADIUS
     if g.spatial_support is not None:
         half = int(np.ceil(np.max(np.abs(g.spatial_support)))) + 1
     import itertools

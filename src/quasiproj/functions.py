@@ -224,19 +224,24 @@ def get(name: str, dim: int = 1, **params) -> TestFunction:
     return build(dim, **params)
 
 
-def check_consistency(f: TestFunction, n_points: int = 20, tol: float = 1e-8):
-    """Spatial evaluator vs inverse-Fourier quadrature at fixed probe points.
+CONSISTENCY_POINTS = 20
+CONSISTENCY_TOL = 1e-8
+
+
+def check_consistency(f: TestFunction):
+    """Spatial evaluator vs inverse-Fourier quadrature at CONSISTENCY_POINTS
+    fixed probe points, within CONSISTENCY_TOL.
 
     Raises InvalidParams on disagreement; no-op without a support box.
     """
     if f.fourier is None or f.fourier_support is None:
         return
     rng = np.random.default_rng(0)  # fixed seed: deterministic probes
-    pts = rng.uniform(-2.0, 2.0, size=(n_points, f.dim))
+    pts = rng.uniform(-2.0, 2.0, size=(CONSISTENCY_POINTS, f.dim))
     direct = np.asarray(f.spatial(pts), dtype=complex)
     via_fourier = _profile_quadrature(f.fourier, f.fourier_support,
                                       tol=1e-10)(pts)
     err = np.max(np.abs(direct - via_fourier))
-    if err > tol:
+    if err > CONSISTENCY_TOL:
         raise InvalidParams(
             f"{f.name}: spatial and Fourier evaluators disagree by {err:.2e}")

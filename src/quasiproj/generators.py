@@ -17,7 +17,8 @@ from .errors import InvalidParams, QuadratureFailure
 from .quadrature import as_points, inverse_fourier
 
 # kind -> its parameters and their defaults; a numeric default also sets the
-# type a value is cast to, None takes the value as given
+# type a value is cast to (an int one takes only integral values), None takes
+# the value as given
 PARAMS = {
     "TensorSincPower": {"n": 1, "a": 1.0},
     "BSplineTensor": {"n": 1},
@@ -179,17 +180,25 @@ def make_generator(kind: str, params=None, dim: int = 1) -> Generator:
                      params["decay"])
 
 
+def as_int(value) -> int:
+    """value as an int; a bool or a non-integral number is a ValueError, where
+    int() would take True as 1 and truncate 2.7 to 2."""
+    if isinstance(value, bool) or not float(value).is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def _parameters(kind, params):
     """params checked against PARAMS[kind]: known names only, and numbers
     cast to the type of their default."""
     defaults = PARAMS[kind]
-    bad = InvalidParams(f"bad {kind} parameters {params}; it takes "
-                        f"{list(defaults)}")
     if set(params) - set(defaults):
-        raise bad
+        raise InvalidParams(f"bad {kind} parameters {params}; it takes "
+                            f"{list(defaults)}")
+    cast = {int: as_int, float: float}
     try:
-        return {k: params.get(k) if d is None else type(d)(params.get(k, d))
+        return {k: params.get(k) if d is None else cast[type(d)](params.get(k, d))
                 for k, d in defaults.items()}
-    except (TypeError, ValueError):
-        raise bad from None
+    except (TypeError, ValueError) as exc:
+        raise InvalidParams(f"bad {kind} parameters {params}: {exc}") from None
 

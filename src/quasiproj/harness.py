@@ -5,50 +5,39 @@ and a config hash in the provenance block), so byte-identical reruns are a
 testable invariant rather than an aspiration.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 import csv
 import hashlib
 import io
 import json
-import os
 
 import numpy as np
 
 from . import analyzers, functions, generators
-from .analyzers import make_analyzer
+from .analyzers import AnalysisFunctional, make_analyzer
 from .conditions import condition_report, strict_compat_radius
 from .errors import (ConfigError, HypothesisViolated, InvalidParams,
-                     NonPositiveValue)
-from .generators import make_generator
-from .lattice import MAX_DIM, make_dilation, map_box
+                     NonPositiveValue, NotExpansive, Singular)
+from .functions import TestFunction
+from .generators import Generator, as_int, make_generator
+from .lattice import MAX_DIM, DilationMatrix, make_dilation, map_box
 from .quadrature import grid_points
 from .quasiprojection import (OperatorSpec, error_lp, evaluate_grid_compact,
                               spectral_evaluator)
 from .smoothness import ModulusSpec, best_approx, modulus
 
 
-def thread_count() -> int:
-    """Worker cap from QUASIPROJ_THREADS (default 1; invalid values are 1)."""
-    raw = os.environ.get("QUASIPROJ_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 # -- configuration -----------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExperimentConfig:
-    generator_kind: str
-    generator_params: dict
-    analyzer_kind: str
-    analyzer_params: dict
-    dilation: tuple
-    function_name: str
-    function_params: dict
-    dim: int
+    """A validated experiment: the catalog objects that fix the operator up
+    to its level, built once by `from_dict`, and the sweep to run."""
+
+    generator: Generator
+    analyzer: AnalysisFunctional
+    dilation: DilationMatrix
+    function: TestFunction
     levels: tuple
     p: float
     box: tuple
@@ -57,7 +46,7 @@ class ExperimentConfig:
     with_modulus: bool
     with_best_approx: bool
     output_format: str
-    raw: dict = field(compare=False, default_factory=dict)
+    raw: dict = field(default_factory=dict)
 
     @staticmethod
     def from_dict(data: dict) -> "ExperimentConfig":
@@ -71,8 +60,9 @@ class ExperimentConfig:
             try:
                 return value if kind is None else kind(value)
             except (TypeError, ValueError):
-                raise ConfigError(f"config field {section}.{key} must be a "
-                                  f"number, got {value!r}") from None
+                what = "an integer" if kind is as_int else "a number"
+                raise ConfigError(f"config field {section}.{key} must be "
+                                  f"{what}, got {value!r}") from None
 
         def choice(sec, key, kinds):
             value = need(sec, key)
@@ -81,21 +71,34 @@ class ExperimentConfig:
                                   f"{tuple(kinds)}, got {value!r}")
             return value
 
-        def params(sec, key, build):
-            """A parameter section: a JSON object that build accepts."""
+        def build(sec, key, make):
+            """The catalog object make builds from a parameter section, which
+            must be a JSON object."""
             value = need(sec, key, {})
             if not isinstance(value, dict):
                 raise ConfigError(f"config field {sec}.{key} must be a JSON "
                                   f"object, got {value!r}")
             try:
-                build(value)
+                return make(value)
             # make_analyzer takes its parameters as keywords: an unknown one
             # is a TypeError, a non-integer beta a ValueError
             except (InvalidParams, TypeError, ValueError) as exc:
                 raise ConfigError(f"config field {sec}.{key}: {exc}") from None
-            return value
 
-        dim = need("operator", "dim", 1, int)
+        def expansive(value):
+            """operator.dilation as a dim x dim DilationMatrix; a number is
+            the 1 x 1 matrix."""
+            try:
+                M = make_dilation(np.atleast_2d(np.asarray(value, dtype=float)))
+            except (NotExpansive, Singular, TypeError, ValueError) as exc:
+                raise ConfigError(
+                    f"config field operator.dilation: {exc}") from None
+            if M.dim != dim:
+                raise ConfigError(f"config field operator.dilation must be "
+                                  f"{dim} x {dim}, got {value!r}")
+            return M
+
+        dim = need("operator", "dim", 1, as_int)
         if not 1 <= dim <= MAX_DIM:
             raise ConfigError(f"config field operator.dim must be in "
                               f"1..{MAX_DIM}, got {dim}")
@@ -115,21 +118,17 @@ class ExperimentConfig:
         if fmt not in ("json", "csv"):
             raise ConfigError(f"output.format must be json or csv, got {fmt!r}")
         return ExperimentConfig(
-            generator_kind=gen,
-            generator_params=params("operator", "generator_params",
-                                    lambda v: make_generator(gen, v, dim)),
-            analyzer_kind=ana,
-            analyzer_params=params("operator", "analyzer_params",
-                                   lambda v: make_analyzer(ana, dim, **v)),
-            dilation=tuple(tuple(row) for row in np.atleast_2d(dil).tolist()),
-            function_name=name,
-            function_params=params("function", "params",
-                                   lambda v: functions.get(name, dim, **v)),
-            dim=dim,
+            generator=build("operator", "generator_params",
+                            lambda v: make_generator(gen, v, dim)),
+            analyzer=build("operator", "analyzer_params",
+                           lambda v: make_analyzer(ana, dim, **v)),
+            function=build("function", "params",
+                           lambda v: functions.get(name, dim, **v)),
+            box=_box(need("experiment", "box", [[-8.0, 8.0]] * dim), dim),
+            dilation=expansive(dil),
             levels=tuple(levels),
             p=p,
-            box=_box(need("experiment", "box", [[-8.0, 8.0]] * dim), dim),
-            grid=need("experiment", "grid", 2048 if dim == 1 else 256, int),
+            grid=need("experiment", "grid", 2048 if dim == 1 else 256, as_int),
             modulus_order=need("experiment", "modulus_order", 2, float),
             with_modulus=bool(need("experiment", "with_modulus", False)),
             with_best_approx=bool(need("experiment", "with_best_approx", False)),
@@ -165,14 +164,11 @@ def _box(value, dim):
 
 
 def build_operator(cfg: ExperimentConfig, level: int) -> OperatorSpec:
-    g = make_generator(cfg.generator_kind, cfg.generator_params, cfg.dim)
-    a = make_analyzer(cfg.analyzer_kind, cfg.dim, **cfg.analyzer_params)
-    M = make_dilation(np.array(cfg.dilation, dtype=float))
-    return OperatorSpec(generator=g, analyzer=a, dilation=M, level=level)
+    return OperatorSpec(cfg.generator, cfg.analyzer, cfg.dilation, level)
 
 
 def build_function(cfg: ExperimentConfig):
-    return functions.get(cfg.function_name, cfg.dim, **cfg.function_params)
+    return cfg.function
 
 
 # -- fits and ratio diagnostics ---------------------------------------------
@@ -269,7 +265,8 @@ class ExperimentReport:
         return asdict(self)
 
 
-def _level_row(cfg: ExperimentConfig, f, level: int) -> LevelResult:
+def _level_row(cfg: ExperimentConfig, level: int) -> LevelResult:
+    f = cfg.function
     spec = build_operator(cfg, level)
     approx = apply_operator(spec, f)
     box = np.asarray(cfg.box, dtype=float)
@@ -288,13 +285,7 @@ def _level_row(cfg: ExperimentConfig, f, level: int) -> LevelResult:
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
-    f = build_function(cfg)
-    workers = thread_count()
-    if workers > 1 and len(cfg.levels) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda j: _level_row(cfg, f, j), cfg.levels))
-    else:
-        rows = [_level_row(cfg, f, j) for j in cfg.levels]
+    rows = [_level_row(cfg, j) for j in cfg.levels]
     rate = residual = None
     errs = [r.error for r in rows]
     if len(rows) >= 2 and all(e > 0 for e in errs):
@@ -306,8 +297,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         rate=rate,
         rate_residual=residual,
         provenance={"grid": cfg.grid, "box": [list(b) for b in cfg.box],
-                    "p": "inf" if cfg.p == np.inf else cfg.p,
-                    "threads": workers})
+                    "p": "inf" if cfg.p == np.inf else cfg.p})
 
 
 # -- band-limited reconstruction check --------------------------------------
@@ -376,6 +366,4 @@ def emit(report: ExperimentReport, fmt: str = "json") -> str:
 
 
 def condition_summary(cfg: ExperimentConfig) -> dict:
-    g = make_generator(cfg.generator_kind, cfg.generator_params, cfg.dim)
-    a = make_analyzer(cfg.analyzer_kind, cfg.dim, **cfg.analyzer_params)
-    return condition_report(g, a).to_dict()
+    return condition_report(cfg.generator, cfg.analyzer).to_dict()

@@ -35,9 +35,9 @@ class DilationMatrix:
     def adjoint_power(self, j: int) -> np.ndarray:
         return np.linalg.matrix_power(self.entries.T, j)
 
-    def is_diagonal(self, tol: float = 0.0) -> bool:
+    def is_diagonal(self) -> bool:
         off = self.entries - np.diag(np.diag(self.entries))
-        return bool(np.all(np.abs(off) <= tol))
+        return bool(np.all(off == 0.0))
 
 
 def make_dilation(entries) -> DilationMatrix:
@@ -61,7 +61,7 @@ def make_dilation(entries) -> DilationMatrix:
     inv = np.linalg.inv(a)
     if not np.all(np.isfinite(inv)):  # denormal determinants overflow here
         raise Singular("matrix is numerically singular")
-    moduli = np.abs(np.linalg.eigvals(a))
+    moduli = np.abs(np.linalg.eigvals(a)).tolist()  # plain floats for the message
     # Expansivity is equivalent to spectral radius of M^{-1} below 1.
     if np.max(np.abs(np.linalg.eigvals(inv))) >= 1.0:
         raise NotExpansive(f"eigenvalue moduli {sorted(moduli)} must all exceed 1")

@@ -206,16 +206,11 @@ def spectral_evaluator(spec: OperatorSpec, f: TestFunction):
 
 # -- error norms ------------------------------------------------------------
 
-def _eval_on(fn, pts):
-    if isinstance(fn, TestFunction):
-        return np.asarray(fn.spatial(pts))
-    return np.asarray(fn(pts))
-
-
 def error_lp(f, approx, p, box, grid: int) -> float:
     """Riemann-sum L_p(box) norm of f - approx on a uniform midpoint grid."""
     if grid < 2:
         raise InvalidParams(f"grid must be >= 2 per axis, got {grid}")
     pts, vol = grid_points(np.asarray(box, dtype=float), grid)
-    diff = _eval_on(f, pts).astype(complex) - _eval_on(approx, pts).astype(complex)
+    diff = (np.asarray(f(pts)).astype(complex)
+            - np.asarray(approx(pts)).astype(complex))
     return grid_lp_norm(diff, vol, p)

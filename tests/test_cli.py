@@ -98,7 +98,17 @@ def test_malformed_config_values_exit_1(tmp_path, capsys):
                                  ("function", "params", 3, 1),
                                  ("function", "params", {"sigma": 2}, 1),
                                  ("operator", "dim", 0, 0),
-                                 ("operator", "dim", 4, 4)):
+                                 ("operator", "dim", 4, 4),
+                                 ("operator", "dilation", [["a"]], 1),
+                                 ("operator", "dilation", [[2.0], [1.0, 2.0]], 1),
+                                 ("operator", "dilation", [[0.0]], 1),
+                                 ("operator", "dilation", [[0.5]], 1),
+                                 ("operator", "dilation",
+                                  [[2.0, 0.0], [0.0, 2.0]], 1),
+                                 ("operator", "generator_params", {"n": 2.7}, 1),
+                                 ("operator", "generator_params", {"n": True}, 1),
+                                 ("operator", "dim", True, True),
+                                 ("experiment", "grid", 256.5, 1)):
         data = json.loads(json.dumps(GOOD))
         data[sec][key] = value
         data["operator"]["dim"] = dim

@@ -9,7 +9,7 @@ from quasiproj.functions import band_bump
 from quasiproj.harness import (ExperimentConfig, build_function,
                                build_operator, emit, rate_fit,
                                reconstruction_check, run_experiment,
-                               sampling_form, thread_count, two_sided_ratio)
+                               sampling_form, two_sided_ratio)
 from quasiproj.quasiprojection import evaluate_spatial
 
 BASE_CONFIG = {
@@ -97,10 +97,26 @@ def test_config_boolean_levels_rejected():
     ("function.params", {"sigma": 2}),
     ("operator.dim", 0),
     ("operator.dim", 4),
+    ("operator.dilation", [["a"]]),
+    ("operator.dilation", [[2.0], [1.0, 2.0]]),
+    ("operator.dilation", [[0.0]]),
+    ("operator.dilation", [[0.5]]),
+    ("operator.dilation", [[2.0, 0.0], [0.0, 2.0]]),
+    ("operator.generator_params", {"n": 2.7}),
+    ("operator.generator_params", {"n": True}),
+    ("operator.dim", True),
+    ("experiment.grid", 256.5),
 ])
 def test_config_non_numeric_field(field, value):
     with pytest.raises(ConfigError, match=field):
         _cfg(**{field: value})
+
+
+def test_config_scalar_dilation_is_one_by_one():
+    cfg = _cfg(**{"operator.dilation": 2.0})
+    assert cfg.dilation.entries.tolist() == [[2.0]]
+    assert build_operator(cfg, 3).dilation is cfg.dilation
+    assert run_experiment(cfg).rows == run_experiment(_cfg()).rows
 
 
 @pytest.mark.parametrize("box", [[[-4.0, 4.0]], [[1.0, -1.0], [0.0, 1.0]],
@@ -141,42 +157,6 @@ def test_emit_csv_layout():
     lines = text.strip().split("\n")
     assert lines[0] == "level,error,modulus,best_approx,ratio"
     assert len(lines) == 3
-
-
-def test_thread_count_env(monkeypatch):
-    monkeypatch.setenv("QUASIPROJ_THREADS", "3")
-    assert thread_count() == 3
-    monkeypatch.setenv("QUASIPROJ_THREADS", "junk")
-    assert thread_count() == 1
-    monkeypatch.delenv("QUASIPROJ_THREADS")
-    assert thread_count() == 1
-
-
-def test_threaded_run_matches_serial(monkeypatch):
-    cfg = _cfg()
-    serial = json.loads(emit(run_experiment(cfg), "json"))
-    monkeypatch.setenv("QUASIPROJ_THREADS", "2")
-    threaded = json.loads(emit(run_experiment(cfg), "json"))
-    # the worker count is recorded in provenance and differs by design
-    serial["provenance"].pop("threads")
-    threaded["provenance"].pop("threads")
-    assert serial == threaded
-
-
-def test_threaded_run_matches_serial_profile_signal(monkeypatch):
-    # one profile-backed signal shared by the level threads, whose modulus
-    # evaluates it by inverse-Fourier quadrature at many points
-    cfg = _cfg(**{"function.name": "band_bump",
-                  "function.params": {"rho": 0.4},
-                  "experiment.with_modulus": True,
-                  "experiment.modulus_order": 1.5,
-                  "experiment.grid": 128})
-    serial = json.loads(emit(run_experiment(cfg), "json"))
-    monkeypatch.setenv("QUASIPROJ_THREADS", "2")
-    threaded = json.loads(emit(run_experiment(cfg), "json"))
-    serial["provenance"].pop("threads")
-    threaded["provenance"].pop("threads")
-    assert serial == threaded
 
 
 def test_sampling_form_matches_definitional_form():

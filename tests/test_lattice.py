@@ -39,7 +39,8 @@ def test_identity_rejected():
 
 
 def test_unit_eigenvalue_rejected():
-    with pytest.raises(NotExpansive):
+    # the message lists plain numbers, not numpy scalar reprs
+    with pytest.raises(NotExpansive, match=r"moduli \[1\.0, 2\.0\] must"):
         make_dilation(np.diag([1.0, 2.0]))
 
 
