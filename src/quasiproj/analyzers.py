@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import (DerivativeUnavailable, InvalidParams,
                      UnsupportedInput, UnsupportedMatrix)
-from .generators import Generator
+from .generators import Generator, as_int
 from .lattice import DilationMatrix
 from .quadrature import MAX_BLOCK, converge, gauss_nodes_box, split_box
 from .functions import TestFunction
@@ -49,7 +49,10 @@ def make_analyzer(kind: str, dim: int = 1, beta=None, axes=None,
     if kind in ("DiracDerivative", "DiracPlusDerivative"):
         if beta is None:
             raise InvalidParams(f"{kind} needs a multi-index beta")
-        beta = tuple(int(b) for b in np.atleast_1d(beta))
+        try:
+            beta = tuple(as_int(b) for b in np.atleast_1d(beta).tolist())
+        except (TypeError, ValueError) as exc:
+            raise InvalidParams(f"{kind} beta: {exc}") from None
         if len(beta) != dim or any(b < 0 for b in beta):
             raise InvalidParams(f"beta {beta} incompatible with dim {dim}")
     if kind == "MixedTensor":

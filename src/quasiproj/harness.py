@@ -21,7 +21,7 @@ from .errors import (ConfigError, HypothesisViolated, InvalidParams,
 from .functions import TestFunction
 from .generators import Generator, as_int, make_generator
 from .lattice import MAX_DIM, DilationMatrix, make_dilation, map_box
-from .quadrature import grid_points
+from .quadrature import GridSpec
 from .quasiprojection import (OperatorSpec, error_lp, evaluate_grid_compact,
                               spectral_evaluator)
 from .smoothness import ModulusSpec, best_approx, modulus
@@ -60,7 +60,8 @@ class ExperimentConfig:
             try:
                 return value if kind is None else kind(value)
             except (TypeError, ValueError):
-                what = "an integer" if kind is as_int else "a number"
+                what = {as_int: "an integer",
+                        _exponent: 'a number >= 1 or "inf"'}.get(kind, "a number")
                 raise ConfigError(f"config field {section}.{key} must be "
                                   f"{what}, got {value!r}") from None
 
@@ -80,8 +81,8 @@ class ExperimentConfig:
                                   f"object, got {value!r}")
             try:
                 return make(value)
-            # make_analyzer takes its parameters as keywords: an unknown one
-            # is a TypeError, a non-integer beta a ValueError
+            # make_analyzer takes its parameters as keywords (an unknown one
+            # is a TypeError); a signal may reject a value with a ValueError
             except (InvalidParams, TypeError, ValueError) as exc:
                 raise ConfigError(f"config field {sec}.{key}: {exc}") from None
 
@@ -112,8 +113,7 @@ class ExperimentConfig:
                     for j in levels)):
             raise ConfigError("experiment.levels must be a nonempty list of "
                               "nonnegative integers")
-        p = need("experiment", "p", 2,
-                 lambda v: np.inf if v in ("inf", "Inf") else float(v))
+        p = need("experiment", "p", 2, _exponent)
         fmt = need("output", "format", "json")
         if fmt not in ("json", "csv"):
             raise ConfigError(f"output.format must be json or csv, got {fmt!r}")
@@ -148,6 +148,17 @@ class ExperimentConfig:
     def digest(self) -> str:
         blob = json.dumps(self.raw, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
+
+
+def _exponent(value) -> float:
+    """experiment.p: "inf" (or "Inf") or a number p >= 1; a bool, NaN or
+    p < 1 is a ValueError."""
+    if value in ("inf", "Inf"):
+        return np.inf
+    p = float(value)
+    if isinstance(value, bool) or not p >= 1.0:
+        raise ValueError(value)
+    return p
 
 
 def _box(value, dim):
@@ -206,10 +217,11 @@ def apply_operator(spec: OperatorSpec, f):
     """Pick the evaluation route for one operator/signal pair.
 
     Compact spatial support takes the direct summation route; band-limited
-    generators with profile-backed signals take the spectral route.
+    generators with profile-backed signals take the spectral route.  The
+    callable takes a `GridSpec` (see `error_lp`).
     """
     if spec.generator.spatial_support is not None:
-        return lambda pts: evaluate_grid_compact(spec, f, pts)
+        return lambda g: evaluate_grid_compact(spec, f, g.points)
     if spec.generator.band_limited and f.fourier_support is not None:
         return spectral_evaluator(spec, f)
     raise InvalidParams(
@@ -329,9 +341,9 @@ def reconstruction_check(spec: OperatorSpec, f, box, grid: int):
             f"delta={delta:g}")
     evaluator = spectral_evaluator(spec, f)
     box = np.asarray(box, dtype=float)
-    pts, _ = grid_points(box, grid)
-    sup_err = float(np.max(np.abs(np.asarray(f.spatial(pts), dtype=complex)
-                                  - evaluator(pts))))
+    g = GridSpec(box, grid)
+    sup_err = float(np.max(np.abs(np.asarray(f.spatial(g.points), dtype=complex)
+                                  - evaluator(g))))
     ladder = []
     from .quasiprojection import evaluate_spatial
     probe = 0.25 * (box[:, 0] + 3 * box[:, 1])  # off-center probe point

@@ -4,10 +4,16 @@ All rules are tensor Gauss-Legendre or uniform grids; nothing is randomized,
 so repeated runs are bit-identical.  Every adaptive rule goes through one
 doubling check, `converge`, whose orders depend only on its arguments, so a
 value never depends on earlier calls.
+
+Inverse-Fourier sums have two forms: `fourier_sum` at arbitrary points, and
+`grid_fourier_sum` from the nodes of one midpoint grid (`GridSpec`) to the
+points of another, axis by axis.
 """
 
-from functools import lru_cache, reduce
+from dataclasses import dataclass
+from functools import cached_property, lru_cache, reduce
 import itertools
+import math
 
 import numpy as np
 
@@ -104,24 +110,138 @@ def split_box(box, cuts):
 
 def fourier_sum(pts, nodes, weights):
     """sum_n weights_n exp(2 pi i x . nodes_n) for each row x of pts (n, d),
-    built in row blocks of at most MAX_BLOCK rows x nodes entries."""
-    out = np.empty(pts.shape[0], dtype=complex)
+    built in row blocks of at most MAX_BLOCK rows x nodes entries.  weights
+    is (N,) or (N, R); the result is (n,) or (n, R)."""
+    out = np.empty(pts.shape[:1] + weights.shape[1:], dtype=complex)
     step = max(1, int(MAX_BLOCK / max(1, nodes.shape[0])))
     for i in range(0, pts.shape[0], step):
         out[i:i + step] = np.exp(2j * np.pi * (pts[i:i + step] @ nodes.T)) @ weights
     return out
 
 
+@dataclass(frozen=True, eq=False)
+class GridSpec:
+    """Midpoint grid of `grid` cells per axis over a box (d, 2)."""
+
+    box: np.ndarray
+    grid: int
+
+    def __post_init__(self):
+        box = np.array(self.box, dtype=float)
+        box.setflags(write=False)
+        object.__setattr__(self, "box", box)
+
+    @cached_property
+    def steps(self):
+        """Cell width per axis."""
+        return [(hi - lo) / self.grid for lo, hi in self.box]
+
+    @cached_property
+    def axes(self):
+        """Midpoint coordinates per axis."""
+        return [lo + h * (np.arange(self.grid) + 0.5)
+                for (lo, _), h in zip(self.box, self.steps)]
+
+    @cached_property
+    def points(self):
+        """All grid points, (grid^d, d), in row-major order."""
+        return _tensor_points(self.axes)
+
+    @property
+    def cell_volume(self) -> float:
+        return math.prod(self.steps)
+
+
 def grid_points(box, grid: int):
     """Midpoint grid over a box: (grid^d, d) points plus the cell volume."""
-    box = np.asarray(box, dtype=float)
-    axes = []
-    vol = 1.0
-    for lo, hi in box:
-        h = (hi - lo) / grid
-        axes.append(lo + h * (np.arange(grid) + 0.5))
-        vol *= h
-    return _tensor_points(axes), vol
+    g = GridSpec(box, grid)
+    return g.points, g.cell_volume
+
+
+def grid_fourier_sum(grid: GridSpec, nodes: GridSpec, weights):
+    """`fourier_sum(grid.points, nodes.points, weights)` for weights (N,) on
+    the nodes in row-major order, as a product of one sum per axis.
+
+    An axis whose points x0 + h m and nodes xi0 + dxi n are exact arithmetic
+    progressions with h dxi = P / K exactly, K a power of two at most
+    MAX_BLOCK, is one length-K FFT: exp(2 pi i P m n / K) depends only on
+    n mod K and P m mod K, and the remaining phases are reduced to turns
+    exactly (`_turns`).  Any other axis is a dense `fourier_sum`."""
+    d = len(nodes.axes)
+    if len(grid.axes) != d:
+        raise ValueError(f"grid has {len(grid.axes)} axes, nodes have {d}")
+    w = np.asarray(weights, dtype=complex).reshape((nodes.grid,) * d)
+    for k, (x, xi) in enumerate(zip(grid.axes, nodes.axes)):
+        w = np.moveaxis(w, k, 0)
+        rest = w.shape[1:]
+        w = _axis_sum(x, xi, w.reshape(len(xi), -1) if rest else w)
+        w = np.moveaxis(w.reshape((len(x),) + rest), 0, k)
+    return w.ravel()
+
+
+def _axis_sum(x, xi, w):
+    """sum_n w[n] exp(2 pi i x_m xi_n) along the first axis of w (N,) or
+    (N, R), for coordinates x (M,) and xi (N,)."""
+    px, pxi = _progression(x), _progression(xi)
+    ratio = None
+    if px is not None and pxi is not None:
+        step, err = _two_product(px[1], pxi[1])
+        if err == 0.0:
+            ratio = float(step).as_integer_ratio()
+    if ratio is None or ratio[1] > MAX_BLOCK:
+        return fourier_sum(x[:, None], xi[:, None], w)
+    (x0, h), (xi0, dxi), (P, K) = px, pxi, ratio
+    m, n = np.arange(len(x), dtype=float), np.arange(len(xi), dtype=float)
+    pre = np.exp(2j * np.pi * _turns(x0, dxi, n))
+    post = np.exp(2j * np.pi * (_turns(x0, xi0, 1.0) + _turns(h, xi0, m)))
+    rows = (-(P % K) * np.arange(len(x))) % K
+    w2 = w.reshape(len(xi), -1)
+    out = np.empty((len(x), w2.shape[1]), dtype=complex)
+    cols = max(1, MAX_BLOCK // max(K, len(xi)))
+    for j in range(0, w2.shape[1], cols):
+        a = w2[:, j:j + cols] * pre[:, None]
+        if len(xi) > K:  # fold n mod K
+            a = np.concatenate([a, np.zeros((-len(xi) % K, a.shape[1]))])
+            a = a.reshape(-1, K, a.shape[1]).sum(axis=0)
+        out[:, j:j + cols] = np.fft.fft(a, n=K, axis=0)[rows] * post[:, None]
+    return out.reshape((len(x),) + w.shape[1:])
+
+
+def _progression(c):
+    """(c0, step) when the coordinates c are exactly c0 + step m, else None."""
+    c0 = float(c[0])
+    step = float(c[1] - c[0]) if len(c) > 1 else 0.0
+    m = np.arange(len(c), dtype=float)
+    hm, err = _two_product(step, m)
+    s = c0 + hm
+    z = s - c0
+    exact = (err == 0.0) & (s == c) & ((c0 - (s - z)) + (hm - z) == 0.0)
+    return (c0, step) if np.all(exact) else None
+
+
+def _two_product(a, b):
+    """Dekker's TwoProduct: (p, e) with p = fl(a b) and p + e = a b exactly,
+    through Veltkamp's split (no overflow assumed)."""
+    p = a * b
+    a_hi, a_lo = _split(a)
+    b_hi, b_lo = _split(b)
+    e = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    return p, e
+
+
+def _split(a):
+    c = 134217729.0 * a  # 2^27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _turns(a, b, n):
+    """a b n modulo 1, for a scalar b and integer-valued n: the product a b
+    is split exactly (TwoProduct), its high part times n again, and the
+    whole-turn part dropped exactly with fmod before rounding to a float."""
+    ab, ab_lo = _two_product(a, b)
+    p, p_lo = _two_product(ab, n)
+    return np.fmod(p, 1.0) + (p_lo + ab_lo * n)
 
 
 def _tensor_points(axes):

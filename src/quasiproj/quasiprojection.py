@@ -8,7 +8,8 @@ crude tail bound), and `evaluate_grid_compact` sums, for compactly supported
 generators, the window of atoms that cover each point of a batch.  The
 spectral route handles band-limited data exactly: the transform of the
 operator output is assembled from finitely many lattice aliases of the
-signal's profile.
+signal's profile, and its callable evaluates either at arbitrary points or,
+handed a `GridSpec`, on that grid axis by axis.
 """
 
 from dataclasses import dataclass
@@ -21,7 +22,8 @@ from .errors import InvalidParams, UnsupportedInput
 from .functions import TestFunction
 from .generators import Generator
 from .lattice import DilationMatrix, map_box
-from .quadrature import as_points, fourier_sum, grid_lp_norm, grid_points
+from .quadrature import (GridSpec, as_points, fourier_sum, grid_fourier_sum,
+                         grid_lp_norm)
 
 
 @dataclass(frozen=True)
@@ -183,9 +185,10 @@ def _spectrum_pts(spec, f, pts, shifts):
 def spectral_evaluator(spec: OperatorSpec, f: TestFunction):
     """Spatial evaluator for Q_j f by quadrature of its spectrum.
 
-    The spectrum is sampled once on a midpoint grid over its support box;
-    the returned callable maps points (n, d) -> complex values via a
-    blocked inverse-Fourier Riemann sum.
+    The spectrum is sampled once on a midpoint grid over its support box.
+    The returned callable takes a `GridSpec`, summed per axis by
+    `grid_fourier_sum`, or points (n, d), summed by the blocked
+    `fourier_sum`, and returns the complex values (row-major on a grid).
     """
     S = spectrum_support(spec)
     width = float(np.max(S[:, 1] - S[:, 0]))
@@ -193,12 +196,15 @@ def spectral_evaluator(spec: OperatorSpec, f: TestFunction):
         nodes_per_axis = int(min(32768, max(4096, 512 * width)))
     else:
         nodes_per_axis = int(min(512, max(128, 16 * width)))
-    nodes, vol = grid_points(S, nodes_per_axis)
-    weights = _spectrum_pts(spec, f, nodes, alias_shifts(spec, f)) * vol
+    nodes = GridSpec(S, nodes_per_axis)
+    weights = (_spectrum_pts(spec, f, nodes.points, alias_shifts(spec, f))
+               * nodes.cell_volume)
 
     def evaluator(x):
+        if isinstance(x, GridSpec):
+            return grid_fourier_sum(x, nodes, weights)
         pts, scalar = as_points(x, spec.dim)
-        out = fourier_sum(pts, nodes, weights)
+        out = fourier_sum(pts, nodes.points, weights)
         return complex(out[0]) if scalar else out
 
     return evaluator
@@ -207,10 +213,13 @@ def spectral_evaluator(spec: OperatorSpec, f: TestFunction):
 # -- error norms ------------------------------------------------------------
 
 def error_lp(f, approx, p, box, grid: int) -> float:
-    """Riemann-sum L_p(box) norm of f - approx on a uniform midpoint grid."""
+    """Riemann-sum L_p(box) norm of f - approx on a uniform midpoint grid.
+
+    f takes the grid points (n, d); approx takes the `GridSpec` and returns
+    its values at the same points, in row-major order."""
     if grid < 2:
         raise InvalidParams(f"grid must be >= 2 per axis, got {grid}")
-    pts, vol = grid_points(np.asarray(box, dtype=float), grid)
-    diff = (np.asarray(f(pts)).astype(complex)
-            - np.asarray(approx(pts)).astype(complex))
-    return grid_lp_norm(diff, vol, p)
+    g = GridSpec(box, grid)
+    diff = (np.asarray(f(g.points)).astype(complex)
+            - np.asarray(approx(g)).astype(complex))
+    return grid_lp_norm(diff, g.cell_volume, p)

@@ -98,7 +98,7 @@ def test_error_rate_meets_compatibility_order():
     for j in levels:
         spec = _op("BSplineTensor", {"n": 2}, "BoxAverage", j)
         errs.append(error_lp(
-            f, lambda p: evaluate_grid_compact(spec, f, p), 2,
+            f, lambda g: evaluate_grid_compact(spec, f, g.points), 2,
             np.array([[-6.0, 6.0]]), 1024))
     slope, _ = rate_fit(list(levels), errs)
     dt = time.monotonic() - t0

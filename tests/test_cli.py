@@ -108,10 +108,22 @@ def test_malformed_config_values_exit_1(tmp_path, capsys):
                                  ("operator", "generator_params", {"n": 2.7}, 1),
                                  ("operator", "generator_params", {"n": True}, 1),
                                  ("operator", "dim", True, True),
-                                 ("experiment", "grid", 256.5, 1)):
+                                 ("experiment", "grid", 256.5, 1),
+                                 ("experiment", "p", 0, 1),
+                                 ("experiment", "p", -1, 1),
+                                 ("experiment", "p", 0.5, 1),
+                                 ("experiment", "p", float("nan"), 1),
+                                 ("experiment", "p", "two", 1),
+                                 ("experiment", "p", True, 1),
+                                 ("operator", "analyzer_params",
+                                  {"beta": [1.5]}, 1),
+                                 ("operator", "analyzer_params",
+                                  {"beta": [True]}, 1)):
         data = json.loads(json.dumps(GOOD))
         data[sec][key] = value
         data["operator"]["dim"] = dim
+        if isinstance(value, dict) and "beta" in value:
+            data["operator"]["analyzer"] = "DiracDerivative"
         assert main(["rates", _write(tmp_path, data)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"{sec}.{key}" in err

@@ -106,10 +106,21 @@ def test_config_boolean_levels_rejected():
     ("operator.generator_params", {"n": True}),
     ("operator.dim", True),
     ("experiment.grid", 256.5),
+    ("experiment.p", 0),
+    ("experiment.p", -1),
+    ("experiment.p", 0.5),
+    ("experiment.p", float("nan")),
+    ("experiment.p", "two"),
+    ("experiment.p", True),
+    ("operator.analyzer_params", {"beta": [1.5]}),
+    ("operator.analyzer_params", {"beta": [True]}),
 ])
 def test_config_non_numeric_field(field, value):
+    overrides = {field: value}
+    if isinstance(value, dict) and "beta" in value:
+        overrides["operator.analyzer"] = "DiracDerivative"
     with pytest.raises(ConfigError, match=field):
-        _cfg(**{field: value})
+        _cfg(**overrides)
 
 
 def test_config_scalar_dilation_is_one_by_one():
@@ -134,6 +145,8 @@ def test_config_bad_format():
 def test_config_infinity_p():
     cfg = _cfg(**{"experiment.p": "inf"})
     assert cfg.p == np.inf
+    assert _cfg(**{"experiment.p": 1}).p == 1.0
+    assert _cfg(**{"experiment.p": 2.5}).p == 2.5
 
 
 def test_run_experiment_reports_rate():

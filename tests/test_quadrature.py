@@ -5,10 +5,17 @@ import numpy as np
 import pytest
 
 from quasiproj import quadrature
+from quasiproj.analyzers import make_analyzer
 from quasiproj.errors import QuadratureFailure
-from quasiproj.quadrature import (as_points, converge, fourier_sum,
-                                  gauss_nodes_box, grid_lp_norm, grid_points,
-                                  integrate_box, split_box)
+from quasiproj.functions import gaussian
+from quasiproj.generators import make_generator
+from quasiproj.lattice import make_dilation
+from quasiproj.quadrature import (GridSpec, as_points, converge, fourier_sum,
+                                  gauss_nodes_box, grid_fourier_sum,
+                                  grid_lp_norm, grid_points, integrate_box,
+                                  split_box)
+from quasiproj.quasiprojection import (OperatorSpec, error_lp,
+                                       spectral_evaluator)
 
 
 def test_gauss_constant_weight_sum():
@@ -111,6 +118,108 @@ def test_fourier_sum_blocks_rows(monkeypatch):
     assert blocks == [(5, 36)] * 16 + [(1, 36)]
     np.testing.assert_allclose(got, dense, rtol=0, atol=1e-14)
     assert fourier_sum(pts[:0], nodes, w).shape == (0,)
+
+
+def _fft_lengths(monkeypatch):
+    """Record the transform length and column count of every FFT call."""
+    calls = []
+    fft = np.fft.fft
+
+    def spy(a, n=None, axis=-1):
+        calls.append((n, a.shape[1] if a.ndim > 1 else 1))
+        return fft(a, n=n, axis=axis)
+
+    monkeypatch.setattr(np.fft, "fft", spy)
+    return calls
+
+
+def _gaussian_weights(nodes):
+    xi = nodes.points
+    return (np.exp(-np.pi * np.sum(xi ** 2, axis=-1)) * (1 + 0.5j * xi[:, 0])
+            * nodes.cell_volume)
+
+
+def test_grid_fourier_sum_dirichlet_kernel():
+    # unit weights on N symmetric midpoints, spacing d, sum to the Dirichlet
+    # kernel sin(pi N d x) / sin(pi d x), per axis in a tensor grid
+    for grid, nodes in ((GridSpec([[-3.0, 3.0]], 64), GridSpec([[-2.0, 2.0]], 128)),
+                        (GridSpec([[-3.0, 3.0], [-1.0, 1.0]], 16),
+                         GridSpec([[-2.0, 2.0], [-0.5, 0.5]], 32))):
+        got = grid_fourier_sum(grid, nodes, np.ones(nodes.points.shape[0]))
+        want = 1.0
+        for x, (lo, hi) in zip(grid.points.T, nodes.box):
+            d = (hi - lo) / nodes.grid
+            want = want * np.sin(np.pi * nodes.grid * d * x) / np.sin(np.pi * d * x)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("grid, nodes, lengths", [
+    # h dxi = 1/256: P = 1, N = 64 padded to K = 256
+    (([[-8.0, 8.0]], 256), ([[-2.0, 2.0]], 64), [256]),
+    # box width 12: h dxi = (3/16)(1/32) = 3/512
+    (([[-6.0, 6.0]], 64), ([[-2.0, 2.0]], 128), [512]),
+    # h dxi = 1/64 with N = 256 > K: the weights fold mod 64
+    (([[-8.0, 8.0]], 32), ([[-4.0, 4.0]], 256), [64]),
+    # h = 1/6 has no short binary ratio, and the midpoints of [-0.3, 0.7]
+    # are no exact progression: dense sums
+    (([[-4.0, 4.0]], 48), ([[-2.0, 2.0]], 64), []),
+    (([[-0.3, 0.7]], 64), ([[-2.0, 2.0]], 64), []),
+    # mixed: dense axes (h = 1/6, 1/3) and an FFT axis (h dxi = 1/32, 1/16)
+    (([[-4.0, 4.0], [-6.0, 6.0]], 48), ([[-1.0, 1.0], [-2.0, 2.0]], 32), [32]),
+    (([[-2.0, 2.0], [-3.0, 3.0], [-1.0, 1.0]], 12),
+     ([[-1.0, 1.0], [-1.0, 1.0], [-1.0, 1.0]], 16), [16]),
+])
+def test_grid_fourier_sum_matches_fourier_sum(monkeypatch, grid, nodes, lengths):
+    grid, nodes = GridSpec(*grid), GridSpec(*nodes)
+    w = _gaussian_weights(nodes)
+    calls = _fft_lengths(monkeypatch)
+    got = grid_fourier_sum(grid, nodes, w)
+    assert [n for n, _ in calls] == lengths
+    want = fourier_sum(grid.points, nodes.points, w)
+    np.testing.assert_allclose(got, want, rtol=0,
+                               atol=1e-13 * np.max(np.abs(want)))
+
+
+def test_grid_fourier_sum_blocks(monkeypatch):
+    # a dense axis (h = 1/6) then an FFT axis (K = 64), 64 x 64 weights
+    grid = GridSpec([[-4.0, 4.0], [-6.0, 6.0]], 48)
+    nodes = GridSpec([[-1.0, 1.0], [-2.0, 2.0]], 64)
+    w = _gaussian_weights(nodes)
+    want = grid_fourier_sum(grid, nodes, w)
+    phases = []
+    exp = np.exp
+
+    def spy(z):
+        phases.append(np.size(z))
+        return exp(z)
+
+    monkeypatch.setattr(quadrature, "MAX_BLOCK", 1024)
+    monkeypatch.setattr(np, "exp", spy)
+    calls = _fft_lengths(monkeypatch)
+    got = grid_fourier_sum(grid, nodes, w)
+    assert max(phases) == 1024 and calls == [(64, 16)] * 3
+    np.testing.assert_array_equal(got, want)
+    # h dxi = 1/2048 and K > MAX_BLOCK: that axis is a dense sum too
+    monkeypatch.setattr(quadrature, "MAX_BLOCK", 1000)
+    del calls[:], phases[:]
+    grid = GridSpec([[-0.5, 0.5], [-8.0, 8.0]], 64)
+    got = grid_fourier_sum(grid, nodes, w)
+    assert {n for n, _ in calls} == {64} and max(phases) <= 1000
+    np.testing.assert_allclose(got, fourier_sum(grid.points, nodes.points, w),
+                               rtol=0, atol=1e-13 * np.max(np.abs(got)))
+
+
+def test_error_lp_grid_route_matches_point_route():
+    f = gaussian(1)
+    box = [[-8.0, 8.0]]
+    for level in range(2, 6):
+        spec = OperatorSpec(
+            make_generator("TensorSincPower", {"n": 1, "a": 1.0}, 1),
+            make_analyzer("BoxAverage", 1), make_dilation([[2.0]]), level)
+        ev = spectral_evaluator(spec, f)
+        grid = error_lp(f, ev, 2, box, 1024)
+        points = error_lp(f, lambda g: ev(g.points), 2, box, 1024)
+        assert grid == pytest.approx(points, rel=1e-12, abs=0)
 
 
 def test_grid_lp_norm_matches_closed_form():

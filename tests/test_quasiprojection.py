@@ -112,14 +112,14 @@ def test_evaluate_spectral_point_form():
 def test_gaussian_l2_norm_oracle():
     # ||exp(-pi x^2)||_2 = 2^{-1/4}
     f = gaussian(1)
-    zero = lambda pts: np.zeros(pts.shape[0])
+    zero = lambda g: np.zeros(g.points.shape[0])
     norm = error_lp(f, zero, 2, np.array([[-8.0, 8.0]]), 4096)
     assert norm == pytest.approx(2.0 ** -0.25, rel=1e-6)
 
 
 def test_error_lp_sup_norm():
     f = gaussian(1)
-    shifted = lambda pts: np.exp(-np.pi * np.sum(pts ** 2, axis=-1)) - 0.25
+    shifted = lambda g: np.exp(-np.pi * np.sum(g.points ** 2, axis=-1)) - 0.25
     err = error_lp(f, shifted, np.inf, np.array([[-2.0, 2.0]]), 512)
     assert err == pytest.approx(0.25, rel=1e-12)
 
