@@ -53,13 +53,12 @@ class TestFunction:
                 f"{self.name} lacks the derivative closure for beta={beta}") from None
 
 
-def _profile_quadrature(profile, support, tol=1e-12, split_origin=False):
-    """Adaptive inverse-Fourier evaluator of a profile over its support box."""
+def _profile_quadrature(profile, support, tol=1e-12, cuts=None):
+    """Adaptive inverse-Fourier evaluator of a profile over its support box,
+    cut per axis at the kinks cuts[axis] (`split_box`), where cutting
+    restores spectral convergence (a radial power |xi|^s at 0, say)."""
     cap = 4096 if support.shape[0] == 1 else 128
-    # splitting each axis at 0 restores spectral convergence when the
-    # profile has a kink there (radial powers |xi|^s)
-    boxes = (split_box(support, [[0.0]] * support.shape[0]) if split_origin
-             else [support])
+    boxes = [support] if cuts is None else split_box(support, cuts)
 
     def spatial(pts):
         return inverse_fourier(profile, boxes, pts, tol, 64, cap)
@@ -68,15 +67,15 @@ def _profile_quadrature(profile, support, tol=1e-12, split_origin=False):
 
 
 def from_profile(name, dim, profile, support, derivative_orders=(),
-                 split_origin=False):
+                 cuts=None):
     """Build a TestFunction from a compactly supported Fourier profile.
 
-    The spatial evaluator is adaptive quadrature of the profile; derivative
-    closures differentiate under the integral (profile times (2 pi i xi)^beta),
-    which is exact up to the quadrature target, not a finite difference.
+    The spatial evaluator is adaptive quadrature of the profile cut at `cuts`;
+    derivative closures differentiate under the integral (profile times
+    (2 pi i xi)^beta), exact up to the quadrature target, not a difference.
     """
     support = np.asarray(support, dtype=float)
-    spatial = _profile_quadrature(profile, support, split_origin=split_origin)
+    spatial = _profile_quadrature(profile, support, cuts=cuts)
     derivs = {}
     for beta in derivative_orders:
         beta = tuple(int(b) for b in beta)

@@ -61,7 +61,9 @@ class ExperimentConfig:
                 return value if kind is None else kind(value)
             except (TypeError, ValueError):
                 what = {as_int: "an integer",
-                        _exponent: 'a number >= 1 or "inf"'}.get(kind, "a number")
+                        _exponent: 'a number >= 1 or "inf"',
+                        _order: "a finite number > 0",
+                        _flag: "true or false"}.get(kind, "a number")
                 raise ConfigError(f"config field {section}.{key} must be "
                                   f"{what}, got {value!r}") from None
 
@@ -114,6 +116,9 @@ class ExperimentConfig:
             raise ConfigError("experiment.levels must be a nonempty list of "
                               "nonnegative integers")
         p = need("experiment", "p", 2, _exponent)
+        grid = need("experiment", "grid", 2048 if dim == 1 else 256, as_int)
+        if grid < 2:
+            raise ConfigError(f"config field experiment.grid must be >= 2, got {grid}")
         fmt = need("output", "format", "json")
         if fmt not in ("json", "csv"):
             raise ConfigError(f"output.format must be json or csv, got {fmt!r}")
@@ -128,10 +133,10 @@ class ExperimentConfig:
             dilation=expansive(dil),
             levels=tuple(levels),
             p=p,
-            grid=need("experiment", "grid", 2048 if dim == 1 else 256, as_int),
-            modulus_order=need("experiment", "modulus_order", 2, float),
-            with_modulus=bool(need("experiment", "with_modulus", False)),
-            with_best_approx=bool(need("experiment", "with_best_approx", False)),
+            grid=grid,
+            modulus_order=need("experiment", "modulus_order", 2, _order),
+            with_modulus=need("experiment", "with_modulus", False, _flag),
+            with_best_approx=need("experiment", "with_best_approx", False, _flag),
             output_format=fmt,
             raw=data,
         )
@@ -159,6 +164,20 @@ def _exponent(value) -> float:
     if isinstance(value, bool) or not p >= 1.0:
         raise ValueError(value)
     return p
+
+
+def _order(value) -> float:
+    """experiment.modulus_order: a finite number > 0, not a bool."""
+    if isinstance(value, bool) or not 0 < float(value) < np.inf:
+        raise ValueError(value)
+    return float(value)
+
+
+def _flag(value) -> bool:
+    """A JSON boolean: not the string "false", not 0 or 1."""
+    if not isinstance(value, bool):
+        raise ValueError(value)
+    return value
 
 
 def _box(value, dim):

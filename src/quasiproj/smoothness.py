@@ -5,6 +5,10 @@ The sup over difference steps in the modulus is sampled on a deterministic
 direction/radius net, so reported values are lower estimates of the exact
 sup; rate and ratio experiments only ever compare them across levels, which
 is insensitive to the uniform sampling bias.
+
+An integer-order difference is the binomial stencil `difference`; a
+fractional one is the multiplier (1 - e^{2 pi i h.xi})^s on the signal's
+profile (`fractional_difference`), so no series is cut.
 """
 
 from dataclasses import dataclass
@@ -17,7 +21,6 @@ from .functions import TestFunction, from_profile
 from .lattice import map_box
 from .quadrature import fourier_sum, gauss_nodes_box, grid_lp_norm, grid_points
 
-SERIES_CAP = 64          # last term of a fractional-order difference series
 DIRECTIONS = 16          # angular directions of the step net in 2-D
 RADII = 6                # radius ladder 1 - 2^-i, i = 1..RADII
 
@@ -31,8 +34,9 @@ class ModulusSpec:
     def __post_init__(self):
         object.__setattr__(self, "matrix",
                            np.atleast_2d(np.asarray(self.matrix, dtype=float)))
-        if self.order <= 0:
-            raise InvalidParams(f"modulus order must be > 0, got {self.order}")
+        if not 0 < self.order < math.inf:
+            raise InvalidParams(f"modulus order must be finite and > 0, "
+                                f"got {self.order}")
 
 
 @dataclass(frozen=True)
@@ -48,40 +52,39 @@ class BestApproxResult:
     method: str
 
 
-def fractional_binomials(s: float, cap: int):
-    """binom(s, nu) for nu = 0..cap via the stable downward recurrence."""
-    out = np.empty(cap + 1)
-    out[0] = 1.0
-    for nu in range(cap):
-        out[nu + 1] = out[nu] * (s - nu) / (nu + 1)
-    return out
-
-
-def difference(fn, x, h, s: float, cap: int = SERIES_CAP):
+def difference(fn, x, h, s):
     """Order-s difference sum_nu (-1)^nu binom(s, nu) fn(x + nu h) at the rows
-    of x (n, d) with step h (d,): the finite sum for integer s, the series cut
-    after nu = cap otherwise.  fn is called once per term."""
-    n = int(s) if float(s).is_integer() else cap
-    b = fractional_binomials(float(s), n)
+    of x (n, d) with step h (d,), for an integer s >= 0: one fn call a term."""
+    if not (float(s).is_integer() and s >= 0):
+        raise InvalidParams(f"the stencil needs an integer order >= 0, got {s}")
     acc = np.zeros(x.shape[0], dtype=complex)
-    for nu in range(n + 1):
-        acc += (-1) ** nu * b[nu] * np.asarray(fn(x + nu * h), dtype=complex)
+    for nu in range(int(s) + 1):
+        term = np.asarray(fn(x + nu * h), dtype=complex)
+        acc += (-1) ** nu * math.comb(int(s), nu) * term
     return acc
 
 
-def fractional_difference(f: TestFunction, h, s: float, x, cap: int = SERIES_CAP):
-    """Value of the order-s difference of f with step h at x, plus a crude
-    truncation bound for fractional s (exact series for integer s)."""
-    h = np.atleast_1d(np.asarray(h, dtype=float))
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    total = complex(difference(f.spatial, x[None, :], h, s, cap)[0])
-    if float(s).is_integer():
-        return total, 0.0
-    # |binom(s,nu)| ~ C nu^{-s-1}; bound the tail by the last computed weight
-    probe = np.abs(np.asarray(f.spatial(
-        x[None, :] + (cap + np.arange(1, 9))[:, None] * h[None, :]))).max()
-    tail = abs(fractional_binomials(s, cap)[-1]) * cap / s * probe
-    return total, float(tail)
+def fractional_difference(f: TestFunction, h, s: float, x):
+    """Order-s difference of a 1-D signal with a compact Fourier profile, with
+    step h, at the rows of x: the signal whose profile is the multiplier
+    (1 - e^{2 pi i h xi})^s times f^, evaluated by `from_profile` with the
+    support cut at the multiplier's branch points xi = k / h."""
+    if f.dim != 1:
+        raise UnsupportedInput(f"a fractional difference is the 1-D multiplier "
+                               f"route; {f.name} is {f.dim}-D")
+    if f.fourier is None or f.fourier_support is None:
+        raise UnsupportedInput(f"a fractional difference needs a compact "
+                               f"Fourier profile, which {f.name} lacks")
+    h = float(np.ravel(h)[0])
+    lo, hi = sorted(h * f.fourier_support[0])
+    branch = np.arange(math.ceil(lo), math.floor(hi) + 1) / h
+
+    def profile(xi):
+        mult = (1.0 - np.exp(2j * np.pi * h * xi[:, 0])) ** s
+        return mult * np.asarray(f.fourier(xi), dtype=complex)
+
+    return from_profile(f"diff({f.name})", 1, profile, f.fourier_support,
+                        cuts=[branch]).spatial(x)
 
 
 def step_net(spec: ModulusSpec):
@@ -104,11 +107,13 @@ def modulus(f: TestFunction, spec: ModulusSpec, box, grid: int) -> ModulusResult
     norm of the order-s difference.  A lower estimate of the exact sup."""
     pts, vol = grid_points(np.asarray(box, dtype=float), grid)
     net = step_net(spec)
-    best = 0.0
-    for h in net:
-        best = max(best, grid_lp_norm(difference(f.spatial, pts, h, spec.order),
-                                      vol, spec.p))
-    return ModulusResult(value=best, net_size=len(net))
+    s = spec.order
+    if float(s).is_integer():
+        diffs = (difference(f.spatial, pts, h, s) for h in net)
+    else:
+        diffs = (fractional_difference(f, h, s, pts) for h in net)
+    value = float(np.max([grid_lp_norm(d, vol, spec.p) for d in diffs]))
+    return ModulusResult(value=value, net_size=len(net))
 
 
 # -- best approximation -----------------------------------------------------
@@ -200,7 +205,7 @@ def fractional_laplacian(P: TestFunction, s: float) -> TestFunction:
         return r ** s * np.asarray(P.fourier(pts), dtype=complex)
 
     return from_profile(f"laplacian^{s / 2:g}({P.name})", P.dim, profile,
-                        P.fourier_support, split_origin=True)
+                        P.fourier_support, cuts=[[0.0]] * P.dim)
 
 
 def besov_partial_norm(f: TestFunction, M, alpha, p, nu_max: int,

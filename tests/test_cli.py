@@ -118,7 +118,14 @@ def test_malformed_config_values_exit_1(tmp_path, capsys):
                                  ("operator", "analyzer_params",
                                   {"beta": [1.5]}, 1),
                                  ("operator", "analyzer_params",
-                                  {"beta": [True]}, 1)):
+                                  {"beta": [True]}, 1),
+                                 ("experiment", "modulus_order", "nan", 1),
+                                 ("experiment", "modulus_order", "inf", 1),
+                                 ("experiment", "modulus_order", -1, 1),
+                                 ("experiment", "grid", 0, 1),
+                                 ("experiment", "grid", 1, 1),
+                                 ("experiment", "with_modulus", "false", 1),
+                                 ("experiment", "with_best_approx", 1, 1)):
         data = json.loads(json.dumps(GOOD))
         data[sec][key] = value
         data["operator"]["dim"] = dim

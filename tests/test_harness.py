@@ -114,6 +114,18 @@ def test_config_boolean_levels_rejected():
     ("experiment.p", True),
     ("operator.analyzer_params", {"beta": [1.5]}),
     ("operator.analyzer_params", {"beta": [True]}),
+    ("experiment.modulus_order", "nan"),
+    ("experiment.modulus_order", "inf"),
+    ("experiment.modulus_order", float("nan")),
+    ("experiment.modulus_order", -1),
+    ("experiment.modulus_order", 0),
+    ("experiment.modulus_order", True),
+    ("experiment.grid", 0),
+    ("experiment.grid", 1),
+    ("experiment.with_modulus", "false"),
+    ("experiment.with_modulus", 1),
+    ("experiment.with_best_approx", "true"),
+    ("experiment.with_best_approx", None),
 ])
 def test_config_non_numeric_field(field, value):
     overrides = {field: value}
@@ -121,6 +133,15 @@ def test_config_non_numeric_field(field, value):
         overrides["operator.analyzer"] = "DiracDerivative"
     with pytest.raises(ConfigError, match=field):
         _cfg(**overrides)
+
+
+def test_config_flags_and_order_load():
+    cfg = _cfg(**{"experiment.with_modulus": True,
+                  "experiment.with_best_approx": False,
+                  "experiment.modulus_order": 1.5})
+    assert cfg.with_modulus is True and cfg.with_best_approx is False
+    assert cfg.modulus_order == 1.5
+    assert _cfg().with_modulus is False and _cfg().modulus_order == 2.0
 
 
 def test_config_scalar_dilation_is_one_by_one():

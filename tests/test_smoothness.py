@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from quasiproj.errors import InvalidParams, UnsupportedInput
-from quasiproj.functions import TestFunction, band_bump, gaussian, translate
+from quasiproj.functions import (TestFunction, band_bump, gaussian, hat_tensor,
+                                 translate)
 from quasiproj import quadrature
 from quasiproj.quadrature import gauss_nodes_box, grid_lp_norm, grid_points
 from quasiproj.smoothness import (ModulusSpec, best_approx, besov_partial_norm,
-                                  difference, eta_profile,
-                                  fractional_binomials, fractional_difference,
+                                  difference, eta_profile, fractional_difference,
                                   fractional_laplacian, modulus, step_net)
 
 BOX = np.array([[-8.0, 8.0]])
@@ -20,29 +20,17 @@ def _poly_square():
                         spatial=lambda pts: pts[:, 0] ** 2)
 
 
-def test_fractional_binomials_integer_row():
-    np.testing.assert_allclose(fractional_binomials(3.0, 3), [1, 3, 3, 1])
-
-
-def test_fractional_binomials_half():
-    b = fractional_binomials(0.5, 3)
-    np.testing.assert_allclose(b, [1.0, 0.5, -0.125, 0.0625])
-
-
 def test_second_difference_of_square_is_2h2():
     f = _poly_square()
     for h in (0.1, 0.37):
-        val, tail = fractional_difference(f, h, 2, 0.7)
-        assert tail == 0.0
+        val = difference(f.spatial, np.array([[0.7]]), np.array([h]), 2)[0]
         assert val == pytest.approx(2 * h * h, rel=1e-12)
 
 
-def test_fractional_difference_tail_reported():
-    f = gaussian(1)
-    val, tail = fractional_difference(f, 0.2, 1.5, 0.0, cap=48)
-    assert np.isfinite(tail) and tail >= 0
-    # the gaussian is negligible 9+ steps out, so the series is converged
-    assert tail < 1e-8
+@pytest.mark.parametrize("s", [1.5, -1])
+def test_difference_needs_integer_order(s):
+    with pytest.raises(InvalidParams, match="integer order"):
+        difference(_poly_square().spatial, np.zeros((1, 1)), np.array([0.1]), s)
 
 
 @pytest.mark.parametrize("s", [1, 2, 3])
@@ -62,18 +50,43 @@ def test_difference_matches_fourier_multiplier(s, xi, h):
     assert np.max(np.abs(got - want)) <= 1e-13
 
 
-@pytest.mark.parametrize("s", [0.5, 1.5])
-def test_fractional_difference_tail_bounds_dropped_mass(s):
-    # sum_nu (-1)^nu binom(s, nu) = 0, and every term past nu = cap has the
-    # same sign, so on a constant signal the cut series is exactly the
-    # dropped binomial mass, |binom(s - 1, cap)|
-    one = TestFunction(name="one", dim=1,
-                       spatial=lambda pts: np.ones(pts.shape[0]))
-    cap = 64
-    mass = abs(math.gamma(s) / (math.factorial(cap) * math.gamma(s - cap)))
-    val, tail = fractional_difference(one, 0.3, s, 0.0, cap=cap)
-    assert abs(val) == pytest.approx(mass, rel=1e-10)
-    assert abs(val) <= tail <= 1.1 * abs(val)
+@pytest.mark.parametrize("s", [1, 2])
+def test_fractional_difference_matches_stencil_at_integer_order(s):
+    f = band_bump(0.4, 1)
+    x = np.linspace(-6.0, 6.0, 25)[:, None]
+    for h in (0.3, -3.0):  # -3 puts branch points at 0 and +-1/3
+        want = difference(f.spatial, x, np.array([h]), s)
+        got = fractional_difference(f, h, s, x)
+        assert got.shape == (25,)
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_fractional_difference_needs_1d_compact_profile():
+    x = np.zeros((1, 1))
+    for f in (hat_tensor(1), _poly_square()):
+        with pytest.raises(UnsupportedInput, match="compact Fourier profile"):
+            fractional_difference(f, 0.2, 1.5, x)
+    with pytest.raises(UnsupportedInput, match="2-D"):
+        fractional_difference(gaussian(2), np.array([0.2, 0.1]), 1.5,
+                              np.zeros((1, 2)))
+    with pytest.raises(UnsupportedInput):
+        modulus(hat_tensor(1), ModulusSpec(order=1.5, matrix=np.eye(1), p=2),
+                BOX, 64)
+
+
+def test_fractional_modulus_gaussian_parseval_oracle():
+    # the order-1.5 difference of exp(-pi x^2) has |profile|^2
+    # exp(-2 pi xi^2) |2 sin(pi h xi)|^3, so Parseval gives its L2 norm; the
+    # integrand is even and, for |h| < 1/9, smooth on [0, 9]
+    spec = ModulusSpec(order=1.5, matrix=np.array([[2.0 ** -6]]), p=2)
+    t, w = np.polynomial.legendre.leggauss(400)
+    xi, w = 4.5 * (t + 1.0), 4.5 * w
+    want = max(math.sqrt(2.0 * np.dot(
+        np.exp(-2.0 * np.pi * xi ** 2) * np.abs(2.0 * np.sin(np.pi * h[0] * xi)) ** 3,
+        w)) for h in step_net(spec))
+    assert want == pytest.approx(4.780575e-3, rel=1e-6)
+    got = modulus(gaussian(1), spec, BOX, 1024).value
+    assert got == pytest.approx(want, rel=1e-5)
 
 
 def test_step_net_respects_matrix():
@@ -84,8 +97,9 @@ def test_step_net_respects_matrix():
 
 
 def test_modulus_invalid_order():
-    with pytest.raises(InvalidParams):
-        ModulusSpec(order=0, matrix=np.eye(1), p=2)
+    for order in (0, -1, float("nan"), float("inf")):
+        with pytest.raises(InvalidParams):
+            ModulusSpec(order=order, matrix=np.eye(1), p=2)
 
 
 def test_modulus_translation_invariant():
