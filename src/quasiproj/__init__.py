@@ -20,7 +20,7 @@ from .harness import (ExperimentConfig, ExperimentReport, emit, rate_fit,
                       reconstruction_check, run_experiment, two_sided_ratio)
 from .lattice import DilationMatrix, make_dilation
 from .quasiprojection import (OperatorSpec, error_lp, evaluate_spatial,
-                              evaluate_spectral, spectral_evaluator)
+                              spectral_evaluator)
 from .smoothness import (ModulusSpec, best_approx, besov_partial_norm,
                          fractional_difference, fractional_laplacian, modulus)
 

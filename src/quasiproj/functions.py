@@ -37,13 +37,6 @@ class TestFunction:
         vals = self.spatial(pts)
         return complex(vals[0]) if scalar else np.asarray(vals)
 
-    def fourier_at(self, xi):
-        if self.fourier is None:
-            raise UnsupportedInput(f"{self.name} has no Fourier profile")
-        pts, scalar = as_points(xi, self.dim)
-        vals = self.fourier(pts)
-        return complex(vals[0]) if scalar else np.asarray(vals)
-
     def derivative(self, beta):
         beta = tuple(int(b) for b in beta)
         try:
@@ -53,7 +46,10 @@ class TestFunction:
                 f"{self.name} lacks the derivative closure for beta={beta}") from None
 
 
-def _profile_quadrature(profile, support, tol=1e-12, cuts=None):
+PROFILE_TOL = 1e-12  # absolute tolerance of the profile-backed evaluators
+
+
+def _profile_quadrature(profile, support, cuts=None):
     """Adaptive inverse-Fourier evaluator of a profile over its support box,
     cut per axis at the kinks cuts[axis] (`split_box`), where cutting
     restores spectral convergence (a radial power |xi|^s at 0, say)."""
@@ -61,7 +57,7 @@ def _profile_quadrature(profile, support, tol=1e-12, cuts=None):
     boxes = [support] if cuts is None else split_box(support, cuts)
 
     def spatial(pts):
-        return inverse_fourier(profile, boxes, pts, tol, 64, cap)
+        return inverse_fourier(profile, boxes, pts, PROFILE_TOL, 64, cap)
 
     return spatial
 
@@ -222,25 +218,3 @@ def get(name: str, dim: int = 1, **params) -> TestFunction:
                             f"{list(names)}")
     return build(dim, **params)
 
-
-CONSISTENCY_POINTS = 20
-CONSISTENCY_TOL = 1e-8
-
-
-def check_consistency(f: TestFunction):
-    """Spatial evaluator vs inverse-Fourier quadrature at CONSISTENCY_POINTS
-    fixed probe points, within CONSISTENCY_TOL.
-
-    Raises InvalidParams on disagreement; no-op without a support box.
-    """
-    if f.fourier is None or f.fourier_support is None:
-        return
-    rng = np.random.default_rng(0)  # fixed seed: deterministic probes
-    pts = rng.uniform(-2.0, 2.0, size=(CONSISTENCY_POINTS, f.dim))
-    direct = np.asarray(f.spatial(pts), dtype=complex)
-    via_fourier = _profile_quadrature(f.fourier, f.fourier_support,
-                                      tol=1e-10)(pts)
-    err = np.max(np.abs(direct - via_fourier))
-    if err > CONSISTENCY_TOL:
-        raise InvalidParams(
-            f"{f.name}: spatial and Fourier evaluators disagree by {err:.2e}")

@@ -311,7 +311,7 @@ def _level_row(cfg: ExperimentConfig, level: int) -> LevelResult:
             row.ratio = err / row.modulus
     if cfg.with_best_approx:
         row.best_approx = best_approx(
-            f, spec.dilation.power(level), cfg.p, box, cfg.grid).value
+            f, spec.dilation.power(level), cfg.p, box, cfg.grid)
     return row
 
 

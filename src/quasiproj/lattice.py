@@ -70,11 +70,6 @@ def make_dilation(entries) -> DilationMatrix:
                           isotropic=iso)
 
 
-def operator_norm(A) -> float:
-    """Spectral norm (largest singular value) of a d x d matrix."""
-    return float(np.linalg.norm(np.atleast_2d(np.asarray(A, dtype=float)), 2))
-
-
 def map_box(A, box):
     """Bounding box of the image of a (d, 2) box under x -> A x: its corners
     mapped through A, then the per-axis min and max."""

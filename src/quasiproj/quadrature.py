@@ -14,10 +14,11 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 import itertools
 import math
+import numbers
 
 import numpy as np
 
-from .errors import QuadratureFailure
+from .errors import InvalidParams, QuadratureFailure
 
 # largest rows x nodes block a vectorized sum builds at once
 MAX_BLOCK = 4_000_000
@@ -103,7 +104,8 @@ def split_box(box, cuts):
     edges = []
     for (lo, hi), c in zip(box, cuts):
         c = np.asarray(c, dtype=float)
-        pts = np.unique(np.concatenate([[lo], c[(c > lo) & (c < hi)], [hi]]))
+        # not np.unique, whose first call imports numpy.ma (about 8 ms)
+        pts = np.array(sorted({lo, hi, *c[(c > lo) & (c < hi)]}))
         edges.append(list(zip(pts[:-1], pts[1:])))
     return [np.array(cell) for cell in itertools.product(*edges)]
 
@@ -252,10 +254,14 @@ def _tensor_points(axes):
 
 
 def grid_lp_norm(values, cell_volume: float, p) -> float:
-    """Riemann-sum L_p norm from sampled |values| on a uniform grid."""
+    """Riemann-sum L_p norm from sampled |values| on a uniform grid, for p a
+    number >= 1, np.inf or "inf"; any other p is InvalidParams."""
     a = np.abs(np.asarray(values))
     if p == np.inf or p == "inf":
         return float(a.max()) if a.size else 0.0
+    if isinstance(p, bool) or not isinstance(p, numbers.Real) or not p >= 1:
+        raise InvalidParams(f'p must be a number >= 1, np.inf or "inf", '
+                            f'got {p!r}')
     p = float(p)
     return float((np.sum(a ** p) * cell_volume) ** (1.0 / p))
 

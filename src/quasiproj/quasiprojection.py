@@ -157,18 +157,6 @@ def alias_shifts(spec: OperatorSpec, f: TestFunction):
             itertools.product(*[range(a, b + 1) for a, b in zip(lo, hi)])]
 
 
-def evaluate_spectral(spec: OperatorSpec, f: TestFunction, xi):
-    """Transform of Q_j f at xi (vectorized over an array of points).
-
-    FT(Q_j f)(xi) = phi^(M*^{-j} xi) * sum_k f^(xi + M*^j k)
-                    * conj(symbol(M*^{-j} xi + k)),
-    with the k-sum running over the finitely many contributing shifts.
-    """
-    pts, scalar = as_points(xi, spec.dim)
-    vals = _spectrum_pts(spec, f, pts, alias_shifts(spec, f))
-    return complex(vals[0]) if scalar else vals
-
-
 def _spectrum_pts(spec, f, pts, shifts):
     Aj = spec.dilation.adjoint_power(spec.level)
     Aj_inv = np.linalg.inv(Aj)

@@ -17,12 +17,15 @@ import math
 import numpy as np
 
 from .errors import InvalidParams, UnsupportedInput
-from .functions import TestFunction, from_profile
+from .functions import PROFILE_TOL, TestFunction, from_profile
 from .lattice import map_box
-from .quadrature import fourier_sum, gauss_nodes_box, grid_lp_norm, grid_points
+from .quadrature import (GridSpec, converge, gauss_nodes_box, grid_fourier_sum,
+                         grid_lp_norm, grid_points, split_box)
 
 DIRECTIONS = 16          # angular directions of the step net in 2-D
 RADII = 6                # radius ladder 1 - 2^-i, i = 1..RADII
+NODE_START = 64          # best_approx nodes per axis: first order, doubled up
+NODE_LOG2_CAP = 22       # to the largest power of two with (nodes)^d <= 2^22
 
 
 @dataclass(frozen=True)
@@ -43,13 +46,6 @@ class ModulusSpec:
 class ModulusResult:
     value: float
     net_size: int
-
-
-@dataclass(frozen=True)
-class BestApproxResult:
-    value: float
-    exact: bool          # True: Parseval tail mass (p=2); False: near-best upper bound
-    method: str
 
 
 def difference(fn, x, h, s):
@@ -118,32 +114,16 @@ def modulus(f: TestFunction, spec: ModulusSpec, box, grid: int) -> ModulusResult
 
 # -- best approximation -----------------------------------------------------
 
-def _complement_boxes(outer, inner):
-    """Axis-aligned decomposition of outer minus inner into disjoint boxes."""
-    outer = np.asarray(outer, dtype=float)
-    inner = np.asarray(inner, dtype=float)
-    if np.any(inner[:, 1] <= outer[:, 0]) or np.any(inner[:, 0] >= outer[:, 1]):
-        return [outer]
-    boxes = []
-    lo, hi = outer[0]
-    ilo, ihi = max(lo, inner[0, 0]), min(hi, inner[0, 1])
-    rest = outer[1:]
-    if lo < ilo:
-        boxes.append(np.vstack([[lo, ilo], rest]))
-    if ihi < hi:
-        boxes.append(np.vstack([[ihi, hi], rest]))
-    if len(outer) > 1:
-        for sub in _complement_boxes(outer[1:], inner[1:]):
-            boxes.append(np.vstack([[ilo, ihi], sub]))
-    return [b for b in boxes if np.all(b[:, 1] > b[:, 0])]
-
-
 def spectrum_tail_mass(f: TestFunction, band_box) -> float:
-    """integral of |f^|^2 outside band_box (within the declared support)."""
+    """integral of |f^|^2 outside band_box within the declared support: an
+    order-192 Gauss rule on each `split_box` cell of the support off the band."""
     if f.fourier is None or f.fourier_support is None:
         raise UnsupportedInput(f"{f.name} lacks a compact Fourier profile")
+    band_box = np.asarray(band_box, dtype=float)
     total = 0.0
-    for b in _complement_boxes(f.fourier_support, band_box):
+    for b in split_box(f.fourier_support, band_box):
+        if np.all((b[:, 0] >= band_box[:, 0]) & (b[:, 1] <= band_box[:, 1])):
+            continue
         nodes, w = gauss_nodes_box(b, 192)
         total += float(np.dot(np.abs(np.asarray(f.fourier(nodes))) ** 2, w))
     return total
@@ -166,31 +146,37 @@ def eta_profile(xi):
     return np.prod(factors, axis=-1)
 
 
-def best_approx(f: TestFunction, A, p, box, grid: int) -> BestApproxResult:
+def best_approx(f: TestFunction, A, p, box, grid: int) -> float:
     """Distance from f to signals band-limited to A* applied to the torus.
 
     p = 2: exact Parseval route (tail mass of the profile outside A* T^d).
-    Other p: upper bound ||f - N_A f||_p with the de la Vallee Poussin-type
-    smoothing N_A, within an absolute constant of the infimum; flagged so.
+    Other p: the upper bound ||f - N_A f||_p(box), N_A a de la Vallee Poussin
+    type smoothing within an absolute constant of the infimum: the residual
+    profile (1 - eta(A*^{-1} xi)) f^(xi) on midpoint nodes over the support,
+    summed onto GridSpec(box, grid) by `grid_fourier_sum`, with the nodes per
+    axis doubled from NODE_START by `converge` to within PROFILE_TOL.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     if f.fourier is None or f.fourier_support is None:
         raise UnsupportedInput(
             f"{f.name} needs a Fourier profile for best approximation")
-    band = map_box(A.T, [[-0.5, 0.5]] * A.shape[0])  # A* T^d, A* = A transpose
+    d = A.shape[0]
+    band = map_box(A.T, [[-0.5, 0.5]] * d)  # A* T^d, A* = A transpose
     if p == 2:
-        return BestApproxResult(value=math.sqrt(max(spectrum_tail_mass(f, band), 0.0)),
-                                exact=True, method="parseval-tail")
+        return math.sqrt(max(spectrum_tail_mass(f, band), 0.0))
     Astar_inv = np.linalg.inv(A.T)
-    supp = f.fourier_support
-    nodes, w = gauss_nodes_box(supp, 192 if A.shape[0] == 1 else 64)
-    # residual profile (1 - eta(A*^{-1} xi)) f^(xi), supported off the band
-    resid = (1.0 - eta_profile(nodes @ Astar_inv.T)) * \
-        np.asarray(f.fourier(nodes), dtype=complex) * w
-    pts, vol = grid_points(np.asarray(box, dtype=float), grid)
-    vals = fourier_sum(pts, nodes, resid)
-    return BestApproxResult(value=grid_lp_norm(vals, vol, p),
-                            exact=False, method="near-best-vallee-poussin")
+    target = GridSpec(box, grid)
+
+    def at(n):
+        nodes = GridSpec(f.fourier_support, n)
+        xi = nodes.points
+        resid = (1.0 - eta_profile(xi @ Astar_inv.T)) * \
+            np.asarray(f.fourier(xi), dtype=complex) * nodes.cell_volume
+        return grid_fourier_sum(target, nodes, resid)
+
+    vals = converge(at, NODE_START, 2 ** (NODE_LOG2_CAP // d), PROFILE_TOL,
+                    "best approximation")
+    return grid_lp_norm(vals, target.cell_volume, p)
 
 
 def fractional_laplacian(P: TestFunction, s: float) -> TestFunction:
@@ -222,7 +208,7 @@ def besov_partial_norm(f: TestFunction, M, alpha, p, nu_max: int,
     terms = []
     for nu in range(1, nu_max + 1):
         Anu = np.linalg.matrix_power(ent, nu)
-        e = best_approx(f, Anu, p, box, grid).value
+        e = best_approx(f, Anu, p, box, grid)
         weight = 1.0 if p == np.inf else det ** (nu / p)
         terms.append(weight * alpha(Anu) * e)
     return base + float(np.sum(terms)), terms

@@ -148,7 +148,7 @@ def test_metric_oracles():
     ok = True
     for nu in range(1, 6):
         a = 2.0 ** (nu - 1)
-        got = best_approx(f, np.array([[2.0 ** nu]]), 2, BOX8, 512).value
+        got = best_approx(f, np.array([[2.0 ** nu]]), 2, BOX8, 512)
         want = math.sqrt(2 * (1 / (2 * math.sqrt(2)))
                          * math.erfc(math.sqrt(2 * math.pi) * a))
         if want > 1e-300:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from quasiproj.errors import NotExpansive, Singular
-from quasiproj.lattice import make_dilation, operator_norm
+from quasiproj.lattice import make_dilation
 
 
 def test_scalar_input_becomes_1x1():
@@ -59,10 +59,6 @@ def test_power_and_adjoint_power_consistent():
     np.testing.assert_allclose(M.power(3), M.entries @ M.entries @ M.entries)
     np.testing.assert_allclose(M.adjoint_power(2), (M.entries @ M.entries).T)
     np.testing.assert_allclose(M.power(-1) @ M.entries, np.eye(2), atol=1e-14)
-
-
-def test_operator_norm_diagonal():
-    assert operator_norm(np.diag([2.0, -5.0])) == pytest.approx(5.0)
 
 
 @given(st.floats(min_value=1.1, max_value=50.0),

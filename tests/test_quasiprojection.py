@@ -9,8 +9,8 @@ from quasiproj.lattice import make_dilation
 from quasiproj.quadrature import grid_points
 from quasiproj.quasiprojection import (OperatorSpec, alias_shifts, error_lp,
                                        evaluate_grid_compact,
-                                       evaluate_spatial, evaluate_spectral,
-                                       spectral_evaluator, spectrum_support)
+                                       evaluate_spatial, spectral_evaluator,
+                                       spectrum_support)
 
 
 def _spec(gen_kind, gen_params, ana_kind, level=0, dim=1, **ana_kw):
@@ -98,15 +98,6 @@ def test_spectral_matches_truncated_spatial_sum():
     for x in (0.3, -1.1, 2.5):
         direct, _ = evaluate_spatial(spec, f, x, 40)
         assert complex(ev(x)) == pytest.approx(direct, abs=1e-7)
-
-
-def test_evaluate_spectral_point_form():
-    spec = _spec("TensorSincPower", {"n": 1, "a": 1.0}, "Dirac")
-    f = band_bump(0.4, 1)
-    # inside the band the point sampler reproduces the spectrum exactly
-    assert evaluate_spectral(spec, f, 0.2) == pytest.approx(
-        complex(f.fourier_at(0.2)), rel=1e-12)
-    assert evaluate_spectral(spec, f, 0.45) == 0.0
 
 
 def test_gaussian_l2_norm_oracle():

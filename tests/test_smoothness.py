@@ -7,7 +7,9 @@ from quasiproj.errors import InvalidParams, UnsupportedInput
 from quasiproj.functions import (TestFunction, band_bump, gaussian, hat_tensor,
                                  translate)
 from quasiproj import quadrature
-from quasiproj.quadrature import gauss_nodes_box, grid_lp_norm, grid_points
+from quasiproj.quadrature import (grid_lp_norm, grid_points, inverse_fourier,
+                                  split_box)
+from quasiproj.quasiprojection import error_lp
 from quasiproj.smoothness import (ModulusSpec, best_approx, besov_partial_norm,
                                   difference, eta_profile, fractional_difference,
                                   fractional_laplacian, modulus, step_net)
@@ -130,16 +132,15 @@ def test_modulus_monotone_in_matrix_scale():
 def test_best_approx_gaussian_tail_oracle():
     f = gaussian(1)
     res = best_approx(f, np.array([[2.0]]), 2, BOX, 512)
-    assert res.exact
     a = 1.0
     want = math.sqrt(2 * (1 / (2 * math.sqrt(2))) * math.erfc(math.sqrt(2 * math.pi) * a))
-    assert res.value == pytest.approx(want, rel=1e-10)
+    assert res == pytest.approx(want, rel=1e-10)
 
 
 def test_best_approx_monotone_in_band():
     f = gaussian(1)
-    e2 = best_approx(f, np.array([[2.0]]), 2, BOX, 512).value
-    e4 = best_approx(f, np.array([[4.0]]), 2, BOX, 512).value
+    e2 = best_approx(f, np.array([[2.0]]), 2, BOX, 512)
+    e4 = best_approx(f, np.array([[4.0]]), 2, BOX, 512)
     assert e4 < e2
 
 
@@ -147,42 +148,75 @@ def test_best_approx_bandlimited_signal_is_recovered():
     f = band_bump(0.4, 1)
     # the band [-1, 1] already contains the spectrum box [-0.4, 0.4]
     res = best_approx(f, np.array([[2.0]]), 2, BOX, 512)
-    assert res.value == pytest.approx(0.0, abs=1e-12)
+    assert res == pytest.approx(0.0, abs=1e-12)
 
 
 def test_best_approx_sup_norm_is_flagged_upper_bound():
     f = gaussian(1)
     res = best_approx(f, np.array([[2.0]]), np.inf, BOX, 1024)
-    assert not res.exact
-    assert res.method == "near-best-vallee-poussin"
-    assert 0 < res.value < 1e-2
+    assert 0 < res < 1e-2
+
+
+@pytest.mark.parametrize("A, p, approx", [(4.0, 1, 4.3743e-10),
+                                          (4.0, np.inf, 1.7952e-10),
+                                          (2.0, np.inf, 4.6610e-4)])
+def test_best_approx_off_parseval_matches_cut_cell_reference(A, p, approx):
+    # reference: adaptive Gauss on the support cut at the edges of the
+    # cutoff's transition band, where the residual profile is not smooth
+    f = gaussian(1)
+    cells = split_box(f.fourier_support, [[-A, -A / 2, A / 2, A]])
+
+    def resid(xi):
+        return (1.0 - eta_profile(xi / A)) * f.fourier(xi)
+
+    pts, vol = grid_points(BOX, 1024)
+    want = grid_lp_norm(inverse_fourier(resid, cells, pts, 1e-11 * approx,
+                                        64, 4096), vol, p)
+    got = best_approx(f, np.array([[A]]), p, BOX, 1024)
+    assert want == pytest.approx(approx, rel=1e-4)
+    assert abs(got - want) <= 1e-9 * want
 
 
 def test_best_approx_p1_2d_builds_bounded_phase_blocks(monkeypatch):
     f = gaussian(2)
     A = np.array([[1.0, 1.0], [1.0, -1.0]])  # quincunx
     box = np.array([[-4.0, 4.0], [-4.0, 4.0]])
-    # dense reference: one points x nodes phase matrix
-    nodes, w = gauss_nodes_box(f.fourier_support, 64)
-    resid = (1.0 - eta_profile(nodes @ np.linalg.inv(A.T).T)) * \
-        np.asarray(f.fourier(nodes), dtype=complex) * w
-    pts, vol = grid_points(box, 16)
-    want = grid_lp_norm(np.exp(2j * np.pi * (pts @ nodes.T)) @ resid, vol, 1)
+    want = best_approx(f, A, 1, box, 16)
     blocks = []
-    exp = np.exp
+    exp, fft = np.exp, np.fft.fft
 
-    def spy(z):
+    def exp_spy(z):
         if np.iscomplexobj(z) and np.ndim(z) == 2:
             blocks.append(np.size(z))
         return exp(z)
 
-    # 256 points x 64^2 nodes is ten times the patched bound
+    def fft_spy(a, n=None, axis=-1):
+        out = fft(a, n=n, axis=axis)
+        blocks.extend([np.size(a), np.size(out)])
+        return out
+
+    # the node grids reach 1024^2 and more, far above the patched bound
     monkeypatch.setattr(quadrature, "MAX_BLOCK", 100_000)
-    monkeypatch.setattr(np, "exp", spy)
+    monkeypatch.setattr(np, "exp", exp_spy)
+    monkeypatch.setattr(np.fft, "fft", fft_spy)
     res = best_approx(f, A, 1, box, 16)
     assert 0 < max(blocks) <= 100_000
-    assert not res.exact
-    assert abs(res.value - want) <= 1e-12 * want
+    assert abs(res - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("p", [0, -1, 0.5, math.nan])
+@pytest.mark.parametrize("metric", ["error_lp", "modulus", "best_approx"])
+def test_metrics_reject_invalid_p(metric, p):
+    f = gaussian(1)
+    calls = {
+        "error_lp": lambda: error_lp(f.spatial, lambda g: np.zeros(len(g.points)),
+                                     p, BOX, 64),
+        "modulus": lambda: modulus(f, ModulusSpec(order=2, matrix=[[0.5]], p=p),
+                                   BOX, 64),
+        "best_approx": lambda: best_approx(f, np.array([[2.0]]), p, BOX, 64),
+    }
+    with pytest.raises(InvalidParams, match="p must be"):
+        calls[metric]()
 
 
 def test_best_approx_needs_profile():
