@@ -8,13 +8,14 @@ orders are certificates of observed behavior rather than symbolic proofs.
 """
 
 from dataclasses import asdict, dataclass
+import itertools
 
 import numpy as np
 
 from .analyzers import AnalysisFunctional, fourier_symbol
 from .errors import InvalidParams, NonSummableDecay
 from .generators import Generator
-from .quadrature import grid_points
+from .quadrature import GridSpec, grid_lp_norm, grid_points
 from .smoothness import difference
 
 ZERO_TOL = 1e-7
@@ -151,7 +152,8 @@ def mikhlin_constant(g: Generator, a: AnalysisFunctional) -> float:
 
 def lcal_p_norm(g: Generator, p: float) -> float:
     """Mixed-norm size of phi: L_p norm over the unit box of the lattice
-    periodization of |phi| (finite for declared decay rate > 1).
+    periodization of |phi| (finite for declared decay rate > 1), for p as
+    `grid_lp_norm` takes it.
 
     Band-limited entries without compact spatial support must declare a
     decay rate; rates at or below 1 make the periodization diverge.
@@ -160,18 +162,15 @@ def lcal_p_norm(g: Generator, p: float) -> float:
         if g.decay_rate is None or g.decay_rate <= 1.0:
             raise NonSummableDecay(
                 f"{g.kind} decays too slowly for a summable periodization")
-    box = np.array([[-0.5, 0.5]] * g.dim)
-    pts, vol = grid_points(box, LCAL_GRID)
+    unit = GridSpec([[-0.5, 0.5]] * g.dim, LCAL_GRID)
+    pts = unit.points
     acc = np.zeros(pts.shape[0])
     half = LCAL_RADIUS
     if g.spatial_support is not None:
         half = int(np.ceil(np.max(np.abs(g.spatial_support)))) + 1
-    import itertools
     for k in itertools.product(range(-half, half + 1), repeat=g.dim):
         acc += np.abs(np.asarray(g.spatial(pts + np.array(k, dtype=float))))
-    if p == np.inf:
-        return float(np.max(acc))
-    return float((np.sum(acc ** p) * vol) ** (1.0 / p))
+    return grid_lp_norm(acc, unit.cell_volume, p)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from .generators import Generator, as_int, make_generator
 from .lattice import MAX_DIM, DilationMatrix, make_dilation, map_box
 from .quadrature import GridSpec
 from .quasiprojection import (OperatorSpec, error_lp, evaluate_grid_compact,
-                              spectral_evaluator)
+                              evaluate_spatial, spectral_evaluator)
 from .smoothness import ModulusSpec, best_approx, modulus
 
 
@@ -248,30 +248,6 @@ def apply_operator(spec: OperatorSpec, f):
         "generator with a profile-backed signal")
 
 
-def sampling_form(spec: OperatorSpec, f, pts, radius: int = 64):
-    """Interpolation-form partial sum sum_k f(M^{-j} k) phi(M^j x - k).
-
-    Agrees with the coefficient form for the point-evaluation analyzer after
-    relabeling k to -k; exposed separately so the identity is checkable.
-    """
-    if spec.analyzer.kind != "Dirac":
-        raise InvalidParams("the sampling form is defined for point evaluation")
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    M_j = spec.dilation.power(spec.level)
-    Minv_j = spec.dilation.power(-spec.level)
-    y = pts @ M_j.T
-    import itertools
-    out = np.zeros(pts.shape[0], dtype=complex)
-    for k in itertools.product(range(-radius, radius + 1), repeat=spec.dim):
-        ka = np.array(k, dtype=float)
-        fv = complex(np.asarray(f.spatial((Minv_j @ ka)[None, :]),
-                                dtype=complex)[0])
-        if fv == 0:
-            continue
-        out += fv * np.asarray(spec.generator.spatial(y - ka), dtype=complex)
-    return out
-
-
 # -- experiment driver -------------------------------------------------------
 
 @dataclass
@@ -363,13 +339,11 @@ def reconstruction_check(spec: OperatorSpec, f, box, grid: int):
     g = GridSpec(box, grid)
     sup_err = float(np.max(np.abs(np.asarray(f.spatial(g.points), dtype=complex)
                                   - evaluator(g))))
-    ladder = []
-    from .quasiprojection import evaluate_spatial
-    probe = 0.25 * (box[:, 0] + 3 * box[:, 1])  # off-center probe point
-    exact = complex(np.asarray(f.spatial(probe[None, :]), dtype=complex)[0])
-    for radius in RADIUS_LADDER:
-        val, _ = evaluate_spatial(spec, f, probe, radius)
-        ladder.append({"radius": radius, "error": abs(val - exact)})
+    probe = 0.25 * (box[:, 0] + 3 * box[:, 1])[None, :]  # off-center probe
+    exact = complex(np.asarray(f.spatial(probe), dtype=complex)[0])
+    ladder = [{"radius": radius,
+               "error": abs(evaluate_spatial(spec, f, probe, radius)[0] - exact)}
+              for radius in RADIUS_LADDER]
     return {"delta": delta, "sup_error": sup_err, "truncation": ladder}
 
 

@@ -1,15 +1,15 @@
 """Evaluation of the quasi-projection operator and L_p error norms.
 
-The spatial routes each take their coefficients from one batched `analyze`
-call over a dense box of lattice sites and form sum_k c_k m^{j/2}
-phi(M^j x + k), masked by the generator's support: `evaluate_spatial` sums
-the cubic box ||k||_inf <= radius at a point in one generator call (with a
-crude tail bound), and `evaluate_grid_compact` sums, for compactly supported
-generators, the window of atoms that cover each point of a batch.  The
-spectral route handles band-limited data exactly: the transform of the
-operator output is assembled from finitely many lattice aliases of the
-signal's profile, and its callable evaluates either at arbitrary points or,
-handed a `GridSpec`, on that grid axis by axis.
+The spatial route is `evaluate_spatial`: each point y = M^j x of a batch
+sums c_k m^{j/2} phi(y + k) over a window of atoms about floor(-y), masked
+by the generator's support, with the coefficients from one batched
+`analyze` call over the site box that covers every window;
+`evaluate_grid_compact` is that sum, for compactly supported generators,
+over a window that holds every atom reaching the point.  The spectral route
+handles band-limited data exactly: the transform of the operator output is
+assembled from finitely many lattice aliases of the signal's profile, and
+its callable evaluates either at arbitrary points or, handed a `GridSpec`,
+on that grid axis by axis.
 """
 
 from dataclasses import dataclass
@@ -22,6 +22,7 @@ from .errors import InvalidParams, UnsupportedInput
 from .functions import TestFunction
 from .generators import Generator
 from .lattice import DilationMatrix, map_box
+from . import quadrature
 from .quadrature import (GridSpec, as_points, fourier_sum, grid_fourier_sum,
                          grid_lp_norm)
 
@@ -45,88 +46,69 @@ class OperatorSpec:
         return self.dilation.dim
 
 
-def evaluate_spatial(spec: OperatorSpec, f: TestFunction, x, radius: int):
-    """Cubic partial sum of the operator series at a point.
+def evaluate_spatial(spec: OperatorSpec, f: TestFunction, pts, radius: int):
+    """Partial sums of the operator series at a batch of points (n, d).
 
-    The sum runs over the sites ||k||_inf <= radius.  Returns (value,
-    tail_bound); the bound multiplies the largest computed coefficient
-    magnitude by the declared decay of the generator over the dropped shell,
-    and is crude by construction.
+    Each point y = M^j x sums the atoms k with ||k - floor(-y)||_inf <=
+    radius, masked by the generator's support when it has one.  The
+    coefficients come from one `analyze` call over the site box that covers
+    every window, cut to the atoms whose support reaches a point.  The sum is
+    one vectorized pass over points x window offsets in blocks of at most
+    MAX_BLOCK entries, one generator call a block.  Returns the (n,) complex
+    values.
     """
     if radius < 0:
         raise InvalidParams(f"radius must be >= 0, got {radius}")
-    pt, _ = as_points(x, spec.dim)
-    y = pt[0] @ spec.dilation.power(spec.level).T
-    sites = _site_box(np.full(spec.dim, -radius), (2 * radius + 1,) * spec.dim)
-    coeffs = analyze(f, spec.analyzer, spec.dilation, spec.level, sites)
-    args = y + sites
-    mask = np.ones(sites.shape[0], dtype=bool)
-    supp = spec.generator.spatial_support
-    if supp is not None:
-        mask = np.all((args >= supp[:, 0]) & (args <= supp[:, 1]), axis=1)
-    amp = spec.dilation.det_abs ** (spec.level / 2.0)
-    phi = np.asarray(spec.generator.spatial(args[mask]), dtype=complex)
-    total = amp * (coeffs[mask] @ phi)
-    return complex(total), _tail_bound(spec, coeffs, y, radius)
-
-
-def evaluate_grid_compact(spec: OperatorSpec, f: TestFunction, pts):
-    """Vectorized operator values on a batch of points for generators with
-    compact spatial support.
-
-    The coefficients come from one `analyze` call over the site box that
-    covers the batch; each point then sums only the window of atoms that
-    can reach it, masked by the generator's support.
-    """
-    supp = spec.generator.spatial_support
-    if supp is None:
-        raise UnsupportedInput("generator lacks compact spatial support")
     pts, _ = as_points(pts, spec.dim)
     y = pts @ spec.dilation.power(spec.level).T
-    half = np.max(np.abs(supp))
-    lo = np.floor(-y.max(axis=0) - half).astype(int)
-    shape = tuple(np.ceil(-y.min(axis=0) + half).astype(int) - lo + 1)
+    base = np.floor(-y).astype(int)
+    lo = base.min(axis=0) - radius
+    hi = base.max(axis=0) + radius
+    supp = spec.generator.spatial_support
+    if supp is not None:
+        half = np.max(np.abs(supp))
+        lo = np.maximum(lo, np.floor(-y.max(axis=0) - half).astype(int))
+        hi = np.minimum(hi, np.ceil(-y.min(axis=0) + half).astype(int))
+    shape = tuple(hi - lo + 1)
     coeffs = analyze(f, spec.analyzer, spec.dilation, spec.level,
                      _site_box(lo, shape))
     amp = spec.dilation.det_abs ** (spec.level / 2.0)
-    span = int(np.ceil(half)) + 1
-    base = np.floor(-y).astype(int)
+    offsets = _site_box(np.full(spec.dim, -radius), (2 * radius + 1,) * spec.dim)
     out = np.zeros(y.shape[0], dtype=complex)
-    for off in _site_box(np.full(spec.dim, -span), (2 * span + 1,) * spec.dim):
-        ks = base + off
-        rel = ks - lo
-        args = y + ks
-        mask = np.all((rel >= 0) & (rel < shape), axis=1)
-        mask &= np.all((args >= supp[:, 0]) & (args <= supp[:, 1]), axis=1)
-        if not np.any(mask):
-            continue
-        vals = np.asarray(spec.generator.spatial(args[mask]), dtype=complex)
-        cs = coeffs[np.ravel_multi_index(rel[mask].T, shape)]
-        out[mask] += amp * cs * vals
+    # blocks of whole windows (of window slices, if one window alone passes
+    # MAX_BLOCK); np.add.at keeps each point's sum in offset order
+    width = min(len(offsets), quadrature.MAX_BLOCK)
+    rows = quadrature.MAX_BLOCK // width
+    for o in range(0, len(offsets), width):
+        for i in range(0, y.shape[0], rows):
+            ks = base[i:i + rows, None] + offsets[o:o + width]
+            args = y[i:i + rows, None] + ks
+            keep = np.ones(ks.shape[:2], dtype=bool)
+            if supp is not None:
+                keep = np.all((args >= supp[:, 0]) & (args <= supp[:, 1]),
+                              axis=2)
+            row, off = np.nonzero(keep)
+            phi = np.asarray(spec.generator.spatial(args[row, off]),
+                             dtype=complex)
+            cs = coeffs[np.ravel_multi_index((ks[row, off] - lo).T, shape)]
+            np.add.at(out, i + row, amp * cs * phi)
     return out
+
+
+def evaluate_grid_compact(spec: OperatorSpec, f: TestFunction, pts):
+    """Operator values on a batch of points for generators with compact
+    spatial support: `evaluate_spatial` with the window of every atom that
+    can reach a point, radius ceil(max |supp phi|) + 1."""
+    supp = spec.generator.spatial_support
+    if supp is None:
+        raise UnsupportedInput("generator lacks compact spatial support")
+    return evaluate_spatial(spec, f, pts, int(np.ceil(np.max(np.abs(supp)))) + 1)
 
 
 def _site_box(lo, shape):
     """The integer sites lo + [0, shape) as an (n, d) array, in row-major
     order (last axis fastest), so coefficients reshape to the box."""
     return np.indices(shape).reshape(len(shape), -1).T + lo
-
-
-def _tail_bound(spec, coeffs, y, radius):
-    supp = spec.generator.spatial_support
-    if supp is not None:
-        margin = radius - np.max(np.abs(y)) - np.max(np.abs(supp))
-        return 0.0 if margin > 0 else np.inf
-    r = spec.generator.decay_rate
-    if r is None or r <= 1.0:
-        return np.inf
-    cmax = float(np.max(np.abs(coeffs)))
-    amp = spec.dilation.det_abs ** (spec.level / 2.0)
-    t0 = max(1.0, radius - np.max(np.abs(y)))
-    d = spec.dim
-    # sum over the dropped shells of prod (1+|y+k|)^-r, bounded by an integral
-    shell = 2 * d * (2 * t0 + 1) ** (d - 1) * t0 ** (1 - r) / (r - 1)
-    return cmax * amp * shell
 
 
 # -- spectral route ---------------------------------------------------------

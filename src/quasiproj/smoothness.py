@@ -209,6 +209,6 @@ def besov_partial_norm(f: TestFunction, M, alpha, p, nu_max: int,
     for nu in range(1, nu_max + 1):
         Anu = np.linalg.matrix_power(ent, nu)
         e = best_approx(f, Anu, p, box, grid)
-        weight = 1.0 if p == np.inf else det ** (nu / p)
+        weight = 1.0 if p in (np.inf, "inf") else det ** (nu / p)
         terms.append(weight * alpha(Anu) * e)
     return base + float(np.sum(terms)), terms

@@ -17,7 +17,7 @@ from quasiproj.conditions import (strang_fix_order, strict_compat_radius,
 from quasiproj.functions import band_bump, gaussian
 from quasiproj.generators import make_generator
 from quasiproj.harness import (ExperimentConfig, emit, rate_fit,
-                               run_experiment, sampling_form, two_sided_ratio)
+                               run_experiment, two_sided_ratio)
 from quasiproj.lattice import make_dilation
 from quasiproj.quadrature import grid_lp_norm, grid_points
 from quasiproj.quasiprojection import (OperatorSpec, error_lp,
@@ -203,18 +203,21 @@ def test_invariant_suite():
     spec0 = _op("TensorSincPower", {"n": 1, "a": 1.0}, "Dirac", 0)
     cov_err = 0.0
     for x in (0.3, -1.1, 2.4):
-        lhs, _ = evaluate_spatial(spec, f, x, 24)
-        rhs, _ = evaluate_spatial(spec0, dilated, (M.power(2) @ [x])[0], 24)
+        lhs = evaluate_spatial(spec, f, x, 24)[0]
+        rhs = evaluate_spatial(spec0, dilated, (M.power(2) @ [x])[0], 24)[0]
         cov_err = max(cov_err, abs(lhs - rhs))
     cov_ok = cov_err <= 1e-12
 
-    # relabeling: the interpolation-style sum and the coefficient sum agree
-    pts = np.array([[0.3], [-1.1], [2.4]])
-    sampled = sampling_form(spec, f, pts, radius=24)
+    # relabeling: the interpolation form sum_k f(M^{-j} k) phi(M^j x - k)
+    # over the mirrored window -k equals the coefficient sum
     rel_err = 0.0
-    for i, x in enumerate(pts[:, 0]):
-        direct, _ = evaluate_spatial(spec, f, x, 24)
-        rel_err = max(rel_err, abs(sampled[i] - direct))
+    for x in (0.3, -1.1, 2.4):
+        y = (M.power(2) @ [x])[0]
+        ks = -(np.floor(-y) + np.arange(-24, 25))[:, None]
+        interp = np.sum(f.spatial(ks @ Minv_j.T)
+                        * spec.generator.spatial(y - ks))
+        direct = evaluate_spatial(spec, f, x, 24)[0]
+        rel_err = max(rel_err, abs(interp - direct))
     rel_ok = rel_err <= 1e-12
 
     # determinism: identical configs give byte-identical reports

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,8 +10,9 @@ from quasiproj.functions import band_bump
 from quasiproj.harness import (ExperimentConfig, build_function,
                                build_operator, emit, rate_fit,
                                reconstruction_check, run_experiment,
-                               sampling_form, two_sided_ratio)
-from quasiproj.quasiprojection import evaluate_spatial
+                               two_sided_ratio)
+
+CONFIGS = Path(__file__).resolve().parent.parent / "scripts" / "configs"
 
 BASE_CONFIG = {
     "operator": {"generator": "BSplineTensor",
@@ -193,27 +195,6 @@ def test_emit_csv_layout():
     assert len(lines) == 3
 
 
-def test_sampling_form_matches_definitional_form():
-    cfg_dict = json.loads(json.dumps(BASE_CONFIG))
-    cfg_dict["operator"].update({"generator": "TensorSincPower",
-                                 "generator_params": {"n": 1, "a": 1.0},
-                                 "analyzer": "Dirac"})
-    cfg = ExperimentConfig.from_dict(cfg_dict)
-    spec = build_operator(cfg, 1)
-    f = band_bump(0.4, 1)
-    pts = np.array([[0.3], [-1.7]])
-    sampled = sampling_form(spec, f, pts, radius=20)
-    for i, x in enumerate(pts[:, 0]):
-        direct, _ = evaluate_spatial(spec, f, x, 20)
-        assert sampled[i] == pytest.approx(direct, abs=1e-13)
-
-
-def test_sampling_form_requires_point_analyzer():
-    spec = build_operator(_cfg(), 0)
-    with pytest.raises(InvalidParams):
-        sampling_form(spec, band_bump(0.4, 1), np.array([[0.0]]))
-
-
 def test_reconstruction_check_flags_incompatible_pair():
     cfg_dict = json.loads(json.dumps(BASE_CONFIG))
     cfg_dict["operator"].update({"generator": "TensorSincPower",
@@ -236,6 +217,18 @@ def test_reconstruction_check_flags_wide_spectrum():
     with pytest.raises(HypothesisViolated):
         reconstruction_check(spec, band_bump(0.7, 1),
                              np.array([[-4.0, 4.0]]), 128)
+
+
+@pytest.mark.parametrize("level", [2, 3])
+def test_reconstruction_ladder_is_exact_off_the_origin(level):
+    # the reconstruct_sinc setup above level 0: the probe x = 4 sits at
+    # M^j x = 16 and 32, beyond the smaller radii, so only a window about
+    # the point sums the atoms that reach it
+    cfg = ExperimentConfig.from_file(str(CONFIGS / "reconstruct_sinc.json"))
+    result = reconstruction_check(build_operator(cfg, level), cfg.function,
+                                  np.asarray(cfg.box), cfg.grid)
+    errors = [rung["error"] for rung in result["truncation"]]
+    assert len(errors) == 3 and max(errors) <= 1e-15
 
 
 def test_build_function_uses_params():

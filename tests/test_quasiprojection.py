@@ -5,6 +5,7 @@ from quasiproj.analyzers import analyze, make_analyzer
 from quasiproj.errors import InvalidParams
 from quasiproj.functions import band_bump, gaussian, hat_tensor
 from quasiproj.generators import make_generator
+from quasiproj import quadrature
 from quasiproj.lattice import make_dilation
 from quasiproj.quadrature import grid_points
 from quasiproj.quasiprojection import (OperatorSpec, alias_shifts, error_lp,
@@ -39,15 +40,26 @@ def test_coefficients_index_set():
     assert co[3] == pytest.approx(1.0)
 
 
+def _brute_force(spec, f, pts, radius):
+    """sum_k c_k m^{j/2} phi(M^j x + k) over the whole site cube
+    ||k||_inf <= radius, one generator call per point."""
+    d = spec.dim
+    sites = np.indices((2 * radius + 1,) * d).reshape(d, -1).T - radius
+    coeffs = analyze(f, spec.analyzer, spec.dilation, spec.level, sites)
+    amp = spec.dilation.det_abs ** (spec.level / 2.0)
+    y = np.asarray(pts, dtype=float) @ spec.dilation.power(spec.level).T
+    return np.array([amp * np.sum(coeffs * spec.generator.spatial(yi + sites))
+                     for yi in y])
+
+
 def test_hat_interpolates_itself():
     # the hat has unit samples only at the origin, so the level-0 expansion
     # with point sampling reproduces it exactly
     spec = _spec("BSplineTensor", {"n": 2}, "Dirac")
     f = hat_tensor(1)
     for x in (0.25, -0.6, 0.0):
-        val, tail = evaluate_spatial(spec, f, x, 4)
+        val = evaluate_spatial(spec, f, x, 4)[0]
         assert val == pytest.approx(complex(f(x)), abs=1e-14)
-        assert tail == 0.0
 
 
 def test_compact_grid_route_matches_pointwise_route():
@@ -55,9 +67,10 @@ def test_compact_grid_route_matches_pointwise_route():
     f = gaussian(1)
     pts = np.array([[-0.7], [0.1], [1.3]])
     batch = evaluate_grid_compact(spec, f, pts)
-    for i, x in enumerate(pts[:, 0]):
-        val, _ = evaluate_spatial(spec, f, x, 12)
-        assert batch[i] == pytest.approx(val, rel=1e-12)
+    # the atoms that reach these points have |k| <= 2 |x| + 1.5 < 6
+    brute = _brute_force(spec, f, pts, 6)
+    for i in range(len(pts)):
+        assert batch[i] == pytest.approx(brute[i], rel=1e-12)
 
 
 @pytest.mark.parametrize("ana_kind, ana_kw", [
@@ -72,10 +85,47 @@ def test_compact_route_under_quincunx(ana_kind, ana_kw):
     f = gaussian(2)
     pts = np.array([[0.3, -0.2], [-1.1, 0.7], [0.05, 1.4]])
     batch = evaluate_grid_compact(spec, f, pts)
-    for i, x in enumerate(pts):
-        val, tail = evaluate_spatial(spec, f, x, 12)
-        assert tail == 0.0
-        assert abs(batch[i] - val) <= 1e-12
+    # ||M^3 x||_2 = 2^{3/2} ||x||_2 < 4 here, so the atoms that reach these
+    # points have ||k||_inf < 5
+    brute = _brute_force(spec, f, pts, 6)
+    for i in range(len(pts)):
+        assert abs(batch[i] - brute[i]) <= 1e-12
+
+
+def test_window_follows_the_point_beyond_the_radius():
+    # M^3 x = 24 lies beyond radius 12: the window about floor(-M^3 x) still
+    # holds every atom that reaches the point, as evaluate_grid_compact's does
+    spec = _spec("BSplineTensor", {"n": 2}, "BoxAverage", level=3)
+    f = gaussian(1)
+    pts = np.array([[3.0], [-2.6], [1.9]])
+    compact = evaluate_grid_compact(spec, f, pts)
+    assert np.all(np.abs(compact) > 0)
+    assert np.array_equal(evaluate_spatial(spec, f, pts, 12), compact)
+
+
+@pytest.mark.parametrize("block", [10, 120])
+def test_window_sum_blocks_stay_within_max_block(monkeypatch, block):
+    spec = OperatorSpec(generator=make_generator("BSplineTensor", {"n": 2}, 2),
+                        analyzer=make_analyzer("BoxAverage", 2),
+                        dilation=make_dilation([[1.0, 1.0], [1.0, -1.0]]),
+                        level=3)
+    f = gaussian(2)
+    pts = np.array([[0.3, -0.2], [-1.1, 0.7], [0.05, 1.4], [2.2, -0.9]])
+    want = evaluate_spatial(spec, f, pts, 3)
+    calls = []
+    spatial = spec.generator.spatial
+
+    def spy(x):
+        calls.append(len(x))
+        return spatial(x)
+
+    # 4 points x 49 offsets: in blocks of 10 each window is split, in blocks
+    # of 120 each holds two whole windows
+    monkeypatch.setattr(quadrature, "MAX_BLOCK", block)
+    monkeypatch.setattr(spec.generator, "spatial", spy)
+    got = evaluate_spatial(spec, f, pts, 3)
+    assert len(calls) > 1 and max(calls) <= block
+    assert np.array_equal(got, want)
 
 
 def test_spectrum_support_scales_with_level():
@@ -96,7 +146,7 @@ def test_spectral_matches_truncated_spatial_sum():
     # the truncated sum still carries ~1e-9 of dropped-tail mass at this
     # radius, so the spectral value is compared at that accuracy
     for x in (0.3, -1.1, 2.5):
-        direct, _ = evaluate_spatial(spec, f, x, 40)
+        direct = evaluate_spatial(spec, f, x, 40)[0]
         assert complex(ev(x)) == pytest.approx(direct, abs=1e-7)
 
 

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from quasiproj.conditions import lcal_p_norm
 from quasiproj.errors import InvalidParams, UnsupportedInput
 from quasiproj.functions import (TestFunction, band_bump, gaussian, hat_tensor,
                                  translate)
 from quasiproj import quadrature
+from quasiproj.generators import make_generator
 from quasiproj.quadrature import (grid_lp_norm, grid_points, inverse_fourier,
                                   split_box)
 from quasiproj.quasiprojection import error_lp
@@ -204,9 +206,7 @@ def test_best_approx_p1_2d_builds_bounded_phase_blocks(monkeypatch):
     assert abs(res - want) <= 1e-12 * want
 
 
-@pytest.mark.parametrize("p", [0, -1, 0.5, math.nan])
-@pytest.mark.parametrize("metric", ["error_lp", "modulus", "best_approx"])
-def test_metrics_reject_invalid_p(metric, p):
+def _metric(name, p):
     f = gaussian(1)
     calls = {
         "error_lp": lambda: error_lp(f.spatial, lambda g: np.zeros(len(g.points)),
@@ -214,9 +214,25 @@ def test_metrics_reject_invalid_p(metric, p):
         "modulus": lambda: modulus(f, ModulusSpec(order=2, matrix=[[0.5]], p=p),
                                    BOX, 64),
         "best_approx": lambda: best_approx(f, np.array([[2.0]]), p, BOX, 64),
+        "lcal_p_norm": lambda: lcal_p_norm(
+            make_generator("BSplineTensor", {"n": 2}, 1), p),
+        "besov_partial_norm": lambda: besov_partial_norm(
+            f, np.array([[2.0]]), lambda A: 1.0, p, 2, BOX, 64),
     }
+    return calls[name]()
+
+
+@pytest.mark.parametrize("p", [0, -1, 0.5, math.nan])
+@pytest.mark.parametrize("metric", ["error_lp", "modulus", "best_approx",
+                                    "lcal_p_norm", "besov_partial_norm"])
+def test_metrics_reject_invalid_p(metric, p):
     with pytest.raises(InvalidParams, match="p must be"):
-        calls[metric]()
+        _metric(metric, p)
+
+
+@pytest.mark.parametrize("metric", ["lcal_p_norm", "besov_partial_norm"])
+def test_metrics_take_inf_as_a_string(metric):
+    assert _metric(metric, "inf") == _metric(metric, np.inf)
 
 
 def test_best_approx_needs_profile():
