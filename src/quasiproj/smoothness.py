@@ -20,7 +20,7 @@ from .errors import InvalidParams, UnsupportedInput
 from .functions import PROFILE_TOL, TestFunction, from_profile
 from .lattice import map_box
 from .quadrature import (GridSpec, converge, gauss_nodes_box, grid_fourier_sum,
-                         grid_lp_norm, grid_points, split_box)
+                         grid_lp_norm, grid_points)
 
 DIRECTIONS = 16          # angular directions of the step net in 2-D
 RADII = 6                # radius ladder 1 - 2^-i, i = 1..RADII
@@ -116,16 +116,26 @@ def modulus(f: TestFunction, spec: ModulusSpec, box, grid: int) -> ModulusResult
 
 def spectrum_tail_mass(f: TestFunction, band_box) -> float:
     """integral of |f^|^2 outside band_box within the declared support: an
-    order-192 Gauss rule on each `split_box` cell of the support off the band."""
+    order-192 Gauss rule on each of at most 2d slabs covering that region.
+    Slab (i, side) keeps the axes before i inside the band, puts axis i
+    below or above it, and leaves the axes after i on the whole support."""
     if f.fourier is None or f.fourier_support is None:
         raise UnsupportedInput(f"{f.name} lacks a compact Fourier profile")
+    support = np.asarray(f.fourier_support, dtype=float)
     band_box = np.asarray(band_box, dtype=float)
+    inside = np.column_stack([np.maximum(support[:, 0], band_box[:, 0]),
+                              np.minimum(support[:, 1], band_box[:, 1])])
     total = 0.0
-    for b in split_box(f.fourier_support, band_box):
-        if np.all((b[:, 0] >= band_box[:, 0]) & (b[:, 1] <= band_box[:, 1])):
-            continue
-        nodes, w = gauss_nodes_box(b, 192)
-        total += float(np.dot(np.abs(np.asarray(f.fourier(nodes))) ** 2, w))
+    for i, (lo, hi) in enumerate(support):
+        if np.any(inside[:i, 0] >= inside[:i, 1]):
+            break  # the band misses the support on an earlier axis
+        for side in ((lo, min(hi, band_box[i, 0])),
+                     (max(lo, band_box[i, 1]), hi)):
+            if side[0] >= side[1]:
+                continue
+            slab = np.concatenate([inside[:i], [side], support[i + 1:]])
+            nodes, w = gauss_nodes_box(slab, 192)
+            total += float(np.dot(np.abs(np.asarray(f.fourier(nodes))) ** 2, w))
     return total
 
 

@@ -1,12 +1,16 @@
 import itertools
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from quasiproj import quadrature
 from quasiproj.analyzers import make_analyzer
-from quasiproj.errors import QuadratureFailure
+from quasiproj.errors import InvalidParams, QuadratureFailure
 from quasiproj.functions import gaussian
 from quasiproj.generators import make_generator
 from quasiproj.lattice import make_dilation
@@ -19,7 +23,7 @@ from quasiproj.quasiprojection import (OperatorSpec, error_lp,
 
 
 def test_gauss_constant_weight_sum():
-    x, wx = np.polynomial.legendre.leggauss(8)
+    x, wx = quadrature.leggauss(8)
     for box, volume in (([[-1.0, 3.0]], 4.0),
                         ([[-1.0, 3.0], [0.0, 2.0]], 8.0),
                         ([[-1.0, 3.0], [0.0, 2.0], [0.5, 0.75]], 2.0)):
@@ -31,6 +35,71 @@ def test_gauss_constant_weight_sum():
         assert np.array_equal(nodes, np.array(list(itertools.product(*axes))))
         assert np.array_equal(
             w, np.array([np.prod(t) for t in itertools.product(*wts)]))
+
+
+RULE_ORDERS = [*range(1, 41), 64, 192, 512]
+
+
+def test_leggauss_closed_forms():
+    r3 = math.sqrt(0.6)
+    for n, nodes, weights in ((1, [0.0], [2.0]),
+                              (2, [-1 / math.sqrt(3), 1 / math.sqrt(3)], [1.0, 1.0]),
+                              (3, [-r3, 0.0, r3], [5 / 9, 8 / 9, 5 / 9])):
+        x, w = quadrature.leggauss(n)
+        np.testing.assert_allclose(x, nodes, rtol=0, atol=2.3e-16)
+        np.testing.assert_allclose(w, weights, rtol=0, atol=4.5e-16)
+
+
+@pytest.mark.parametrize("n", RULE_ORDERS)
+def test_leggauss_moments_and_shape(n):
+    x, w = quadrature.leggauss(n)
+    assert x.shape == w.shape == (n,)
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    assert np.all(np.diff(x) > 0) and np.all(w > 0)
+    assert not x.flags.writeable and not w.flags.writeable
+    # the rule is exact for degree 2n - 1: even moments 2 / (2k + 1), k < n
+    k = np.arange(n)
+    moments = (x[None, :] ** (2 * k[:, None])) @ w
+    np.testing.assert_allclose(moments, 2.0 / (2 * k + 1), rtol=0, atol=2e-15)
+
+
+def test_leggauss_nodes_match_eigenvalue_method():
+    for n in RULE_ORDERS:
+        want, _ = np.polynomial.legendre.leggauss(n)
+        np.testing.assert_allclose(quadrature.leggauss(n)[0], want,
+                                   rtol=0, atol=2.3e-16)
+
+
+@pytest.mark.parametrize("order", [0, -1, 2.5, True])
+def test_leggauss_rejects_invalid_order(order):
+    with pytest.raises(InvalidParams, match="Gauss order"):
+        quadrature.leggauss(order)
+
+
+def test_rates_run_does_not_import_numpy_polynomial():
+    # the rule is computed in the package: a cold rates run on the compact
+    # route (Gauss box coefficients) loads no numpy.polynomial module
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    code = """
+import json, sys
+import numpy
+before = set(sys.modules)
+preloaded = any(m.startswith("numpy.polynomial") for m in before)
+from quasiproj.harness import ExperimentConfig, run_experiment
+run_experiment(ExperimentConfig.from_file(sys.argv[1]))
+added = sorted(m for m in set(sys.modules) - before
+               if m.startswith("numpy.polynomial"))
+print(json.dumps({"preloaded": preloaded, "added": added}))
+"""
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", code,
+         os.path.join(root, "scripts", "configs", "rates_spline_box.json")],
+        capture_output=True, text=True, env=env, timeout=120, check=True)
+    got = json.loads(out.stdout.strip().splitlines()[-1])
+    if got["preloaded"]:
+        pytest.skip("this numpy loads numpy.polynomial on import")
+    assert got["added"] == []
 
 
 def test_integrate_polynomial_exact():
@@ -64,6 +133,27 @@ def test_converge_doubles_from_start():
     # changes 1/8, 1/16, 1/32: the first within 0.05 is at order 32
     assert converge(evaluate, 4, 64, 0.05, "test")[0] == 1.0 / 32
     assert orders == [4, 8, 16, 32]
+
+
+@pytest.mark.parametrize("start, cap", [(0, 16), (-1, 16), (2.5, 16),
+                                        (True, 16), (32, 16)])
+def test_converge_rejects_unusable_orders(start, cap):
+    calls = []
+
+    def evaluate(n):
+        calls.append(n)
+        if len(calls) > 50:  # a start that never reaches the cap
+            raise RuntimeError("converge kept doubling")
+        return 0.0
+
+    with pytest.raises(InvalidParams, match="stage Y"):
+        converge(evaluate, start, cap, 1e-3, "stage Y")
+    assert calls == []
+
+
+def test_integrate_box_rejects_order_zero():
+    with pytest.raises(InvalidParams):
+        integrate_box(lambda t: t[:, 0], [[0.0, 1.0]], start_order=0)
 
 
 def _split_reference(box, cuts):

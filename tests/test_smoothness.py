@@ -12,9 +12,11 @@ from quasiproj.generators import make_generator
 from quasiproj.quadrature import (grid_lp_norm, grid_points, inverse_fourier,
                                   split_box)
 from quasiproj.quasiprojection import error_lp
+from quasiproj import smoothness
 from quasiproj.smoothness import (ModulusSpec, best_approx, besov_partial_norm,
                                   difference, eta_profile, fractional_difference,
-                                  fractional_laplacian, modulus, step_net)
+                                  fractional_laplacian, modulus,
+                                  spectrum_tail_mass, step_net)
 
 BOX = np.array([[-8.0, 8.0]])
 
@@ -137,6 +139,72 @@ def test_best_approx_gaussian_tail_oracle():
     a = 1.0
     want = math.sqrt(2 * (1 / (2 * math.sqrt(2))) * math.erfc(math.sqrt(2 * math.pi) * a))
     assert res == pytest.approx(want, rel=1e-10)
+
+
+SQRT_2PI = math.sqrt(2 * math.pi)
+
+
+def _gaussian_mass(a, b):
+    """integral of |exp(-pi t^2)^|^2 = exp(-2 pi t^2) over [a, b], 0 <= a <= b,
+    through erfc so that far tails keep their relative accuracy."""
+    return (math.erfc(SQRT_2PI * a) - math.erfc(SQRT_2PI * b)) / (2 * math.sqrt(2))
+
+
+@pytest.mark.parametrize("j", [2, 3, 4])
+def test_best_approx_gaussian_tail_closed_form(j):
+    # band [-2^(j-1), 2^(j-1)] inside the declared support [-9, 9]
+    got = best_approx(gaussian(1), np.array([[2.0 ** j]]), 2, BOX, 64)
+    want = math.sqrt((math.erfc(SQRT_2PI * 2 ** (j - 1))
+                      - math.erfc(9 * SQRT_2PI)) / math.sqrt(2))
+    assert got == pytest.approx(want, rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("a", [1.0, 2.0])
+def test_spectrum_tail_mass_2d_gaussian_slab_sum(a):
+    # bands 2I and 4I: off the band [-a, a]^2 in [-9, 9]^2 are the slab with
+    # the first axis outside the band, and the one with it inside and the
+    # second axis outside
+    out, inside, whole = (2 * _gaussian_mass(a, 9.0), 2 * _gaussian_mass(0.0, a),
+                          2 * _gaussian_mass(0.0, 9.0))
+    want = out * whole + inside * out
+    got = spectrum_tail_mass(gaussian(2), [[-a, a]] * 2)
+    assert got == pytest.approx(want, rel=1e-13, abs=0)
+
+
+def _volume(box):
+    return float(np.prod(np.maximum(box[:, 1] - box[:, 0], 0.0)))
+
+
+def _meet(a, b):
+    return np.column_stack([np.maximum(a[:, 0], b[:, 0]),
+                            np.minimum(a[:, 1], b[:, 1])])
+
+
+@pytest.mark.parametrize("band, slabs", [
+    ([[-1.0, 1.0]] * 3, 6),
+    ([[-1.0, 1.0], [-20.0, 0.5], [2.0, 3.0]], 5),  # wider than the support
+    ([[-1.0, 1.0], [10.0, 11.0], [-1.0, 1.0]], 3),  # misses it on axis 1
+])
+def test_spectrum_tail_mass_3d_integrates_slabs(monkeypatch, band, slabs):
+    f = gaussian(3)
+    boxes = []
+    rule = quadrature.gauss_nodes_box
+
+    def spy(box, order):
+        boxes.append(np.asarray(box, dtype=float))
+        return rule(box, 4)  # the boxes are under test, not the rule
+
+    monkeypatch.setattr(smoothness, "gauss_nodes_box", spy)
+    spectrum_tail_mass(f, band)
+    support = f.fourier_support
+    inside = _meet(support, np.array(band))
+    assert len(boxes) == slabs
+    assert sum(map(_volume, boxes)) == pytest.approx(
+        _volume(support) - _volume(inside), rel=1e-14)
+    for i, b in enumerate(boxes):
+        assert np.array_equal(_meet(b, support), b)
+        assert _volume(_meet(b, inside)) == 0
+        assert all(_volume(_meet(b, c)) == 0 for c in boxes[:i])
 
 
 def test_best_approx_monotone_in_band():
