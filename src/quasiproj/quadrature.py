@@ -10,7 +10,7 @@ Inverse-Fourier sums have two forms: `fourier_sum` at arbitrary points, and
 points of another, axis by axis.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
 import itertools
 import math
@@ -170,30 +170,42 @@ def fourier_sum(pts, nodes, weights):
 
 @dataclass(frozen=True, eq=False)
 class GridSpec:
-    """Midpoint grid of `grid` cells per axis over a box (d, 2)."""
+    """Midpoint grid over a box (d, 2): `grid` cells on every axis, or one
+    count per axis; each count must be an integer >= 1."""
 
     box: np.ndarray
-    grid: int
+    grid: int | tuple
+    counts: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         box = np.array(self.box, dtype=float)
         box.setflags(write=False)
         object.__setattr__(self, "box", box)
+        counts = (tuple(self.grid) if isinstance(self.grid, (tuple, list,
+                                                            np.ndarray))
+                  else (self.grid,) * len(box))
+        if len(counts) != len(box) or not all(
+                isinstance(n, numbers.Integral) and not isinstance(n, bool)
+                and n >= 1 for n in counts):
+            raise InvalidParams(f"grid counts must be integers >= 1, one or "
+                                f"one per axis of {len(box)}, got "
+                                f"{self.grid!r}")
+        object.__setattr__(self, "counts", tuple(int(n) for n in counts))
 
     @cached_property
     def steps(self):
         """Cell width per axis."""
-        return [(hi - lo) / self.grid for lo, hi in self.box]
+        return [(hi - lo) / n for (lo, hi), n in zip(self.box, self.counts)]
 
     @cached_property
     def axes(self):
         """Midpoint coordinates per axis."""
-        return [lo + h * (np.arange(self.grid) + 0.5)
-                for (lo, _), h in zip(self.box, self.steps)]
+        return [lo + h * (np.arange(n) + 0.5)
+                for (lo, _), h, n in zip(self.box, self.steps, self.counts)]
 
     @cached_property
     def points(self):
-        """All grid points, (grid^d, d), in row-major order."""
+        """All grid points, (prod(counts), d), in row-major order."""
         return _tensor_points(self.axes)
 
     @property
@@ -219,7 +231,7 @@ def grid_fourier_sum(grid: GridSpec, nodes: GridSpec, weights):
     d = len(nodes.axes)
     if len(grid.axes) != d:
         raise ValueError(f"grid has {len(grid.axes)} axes, nodes have {d}")
-    w = np.asarray(weights, dtype=complex).reshape((nodes.grid,) * d)
+    w = np.asarray(weights, dtype=complex).reshape(nodes.counts)
     for k, (x, xi) in enumerate(zip(grid.axes, nodes.axes)):
         w = np.moveaxis(w, k, 0)
         rest = w.shape[1:]

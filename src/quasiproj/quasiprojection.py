@@ -7,13 +7,16 @@ by the generator's support, with the coefficients from one batched
 `evaluate_grid_compact` is that sum, for compactly supported generators,
 over a window that holds every atom reaching the point.  The spectral route
 handles band-limited data exactly: the transform of the operator output is
-assembled from finitely many lattice aliases of the signal's profile, and
-its callable evaluates either at arbitrary points or, handed a `GridSpec`,
-on that grid axis by axis.
+assembled from finitely many lattice aliases of the signal's profile, on
+the nodes of its support box that a shifted signal box reaches, and its
+callable evaluates either at arbitrary points or, handed a `GridSpec`, on
+that grid axis by axis.
 """
 
 from dataclasses import dataclass
 import itertools
+import math
+import numbers
 
 import numpy as np
 
@@ -46,7 +49,7 @@ class OperatorSpec:
         return self.dilation.dim
 
 
-def evaluate_spatial(spec: OperatorSpec, f: TestFunction, pts, radius: int):
+def evaluate_spatial(spec: OperatorSpec, f: TestFunction, pts, radius):
     """Partial sums of the operator series at a batch of points (n, d).
 
     Each point y = M^j x sums the atoms k with ||k - floor(-y)||_inf <=
@@ -55,15 +58,19 @@ def evaluate_spatial(spec: OperatorSpec, f: TestFunction, pts, radius: int):
     every window, cut to the atoms whose support reaches a point.  The sum is
     one vectorized pass over points x window offsets in blocks of at most
     MAX_BLOCK entries, one generator call a block.  Returns the (n,) complex
-    values.
+    values; for a sequence of radii, the (len(radius), n) sums at each, from
+    the coefficients and generator values of the largest.
     """
-    if radius < 0:
-        raise InvalidParams(f"radius must be >= 0, got {radius}")
+    radii = tuple(radius) if np.ndim(radius) else (radius,)
+    if not radii or not all(isinstance(r, numbers.Integral) and
+                            not isinstance(r, bool) and r >= 0 for r in radii):
+        raise InvalidParams(f"radius must be an integer >= 0, got {radius!r}")
+    top = max(radii)
     pts, _ = as_points(pts, spec.dim)
     y = pts @ spec.dilation.power(spec.level).T
     base = np.floor(-y).astype(int)
-    lo = base.min(axis=0) - radius
-    hi = base.max(axis=0) + radius
+    lo = base.min(axis=0) - top
+    hi = base.max(axis=0) + top
     supp = spec.generator.spatial_support
     if supp is not None:
         half = np.max(np.abs(supp))
@@ -73,8 +80,8 @@ def evaluate_spatial(spec: OperatorSpec, f: TestFunction, pts, radius: int):
     coeffs = analyze(f, spec.analyzer, spec.dilation, spec.level,
                      _site_box(lo, shape))
     amp = spec.dilation.det_abs ** (spec.level / 2.0)
-    offsets = _site_box(np.full(spec.dim, -radius), (2 * radius + 1,) * spec.dim)
-    out = np.zeros(y.shape[0], dtype=complex)
+    offsets = _site_box(np.full(spec.dim, -top), (2 * top + 1,) * spec.dim)
+    out = np.zeros((len(radii), y.shape[0]), dtype=complex)
     # blocks of whole windows (of window slices, if one window alone passes
     # MAX_BLOCK); np.add.at keeps each point's sum in offset order
     width = min(len(offsets), quadrature.MAX_BLOCK)
@@ -91,8 +98,12 @@ def evaluate_spatial(spec: OperatorSpec, f: TestFunction, pts, radius: int):
             phi = np.asarray(spec.generator.spatial(args[row, off]),
                              dtype=complex)
             cs = coeffs[np.ravel_multi_index((ks[row, off] - lo).T, shape)]
-            np.add.at(out, i + row, amp * cs * phi)
-    return out
+            terms = amp * cs * phi
+            for acc, r in zip(out, radii):
+                inner = (slice(None) if r == top else
+                         np.max(np.abs(offsets[o + off]), axis=1) <= r)
+                np.add.at(acc, i + row[inner], terms[inner])
+    return out if np.ndim(radius) else out[0]
 
 
 def evaluate_grid_compact(spec: OperatorSpec, f: TestFunction, pts):
@@ -155,10 +166,11 @@ def _spectrum_pts(spec, f, pts, shifts):
 def spectral_evaluator(spec: OperatorSpec, f: TestFunction):
     """Spatial evaluator for Q_j f by quadrature of its spectrum.
 
-    The spectrum is sampled once on a midpoint grid over its support box.
-    The returned callable takes a `GridSpec`, summed per axis by
-    `grid_fourier_sum`, or points (n, d), summed by the blocked
-    `fourier_sum`, and returns the complex values (row-major on a grid).
+    The spectrum is sampled once on the node window (`_node_window`) of a
+    midpoint grid over its support box.  The returned callable takes a
+    `GridSpec`, summed per axis by `grid_fourier_sum`, or points (n, d),
+    summed by the blocked `fourier_sum`, and returns the complex values
+    (row-major on a grid).  With no alias shift it returns zeros.
     """
     S = spectrum_support(spec)
     width = float(np.max(S[:, 1] - S[:, 0]))
@@ -166,18 +178,47 @@ def spectral_evaluator(spec: OperatorSpec, f: TestFunction):
         nodes_per_axis = int(min(32768, max(4096, 512 * width)))
     else:
         nodes_per_axis = int(min(512, max(128, 16 * width)))
-    nodes = GridSpec(S, nodes_per_axis)
-    weights = (_spectrum_pts(spec, f, nodes.points, alias_shifts(spec, f))
-               * nodes.cell_volume)
+    shifts = alias_shifts(spec, f)
+    nodes = _node_window(spec, f, GridSpec(S, nodes_per_axis), shifts)
+    if nodes is not None:
+        weights = (_spectrum_pts(spec, f, nodes.points, shifts)
+                   * nodes.cell_volume)
 
     def evaluator(x):
         if isinstance(x, GridSpec):
+            if nodes is None:
+                return np.zeros(math.prod(x.counts), dtype=complex)
             return grid_fourier_sum(x, nodes, weights)
         pts, scalar = as_points(x, spec.dim)
-        out = fourier_sum(pts, nodes.points, weights)
+        out = (np.zeros(pts.shape[0], dtype=complex) if nodes is None
+               else fourier_sum(pts, nodes.points, weights))
         return complex(out[0]) if scalar else out
 
     return evaluator
+
+
+def _node_window(spec, f, full: GridSpec, shifts):
+    """The cells of `full`, a midpoint grid over the spectrum box S, where
+    the spectrum of Q_j f can be nonzero, as a `GridSpec` with the same
+    midpoints (bit for bit when full's arithmetic is exact), or None.
+
+    The term of shift k is nonzero only on supp f^ - M*^j k, a box, since a
+    shift does not rotate it; per axis the window is the hull of those boxes
+    cut to S, widened to whole cells of `full`.  Outside it `full` samples
+    f^ only beyond its declared box: exactly 0, or below the signal's stated
+    truncation."""
+    if not shifts:
+        return None
+    S, h = full.box, np.array(full.steps)
+    moved = np.array(shifts) @ spec.dilation.adjoint_power(spec.level).T
+    lo = np.maximum(f.fourier_support[:, 0] - moved.max(axis=0), S[:, 0])
+    hi = np.minimum(f.fourier_support[:, 1] - moved.min(axis=0), S[:, 1])
+    first = np.clip(np.floor((lo - S[:, 0]) / h), 0, full.counts)
+    last = np.clip(np.ceil((hi - S[:, 0]) / h), 0, full.counts)
+    if np.any(last <= first):
+        return None
+    return GridSpec(np.column_stack([S[:, 0] + first * h, S[:, 0] + last * h]),
+                    tuple((last - first).astype(int)))
 
 
 # -- error norms ------------------------------------------------------------

@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import InvalidParams, UnsupportedInput
 from .functions import PROFILE_TOL, TestFunction, from_profile
+from . import quadrature
 from .lattice import map_box
 from .quadrature import (GridSpec, converge, gauss_nodes_box, grid_fourier_sum,
                          grid_lp_norm, grid_points)
@@ -50,14 +51,37 @@ class ModulusResult:
 
 def difference(fn, x, h, s):
     """Order-s difference sum_nu (-1)^nu binom(s, nu) fn(x + nu h) at the rows
-    of x (n, d) with step h (d,), for an integer s >= 0: one fn call a term."""
+    of x (n, d), for an integer s >= 0: (n,) for one step h (d,), (m, n) for
+    a stack of steps h (m, d).
+
+    The nu = 0 term is one fn call at x; the other stencil points go in
+    blocks of whole steps (of row slices, if one step alone passes
+    MAX_BLOCK) of at most MAX_BLOCK points, one fn call a block.  Each value
+    accumulates its terms in the order nu = 0..s."""
     if not (float(s).is_integer() and s >= 0):
         raise InvalidParams(f"the stencil needs an integer order >= 0, got {s}")
-    acc = np.zeros(x.shape[0], dtype=complex)
-    for nu in range(int(s) + 1):
-        term = np.asarray(fn(x + nu * h), dtype=complex)
-        acc += (-1) ** nu * math.comb(int(s), nu) * term
-    return acc
+    s = int(s)
+    steps = np.asarray(h, dtype=float)
+    single = steps.ndim == 1
+    steps = np.atleast_2d(steps)
+    n = x.shape[0]
+    acc = np.zeros((len(steps), n), dtype=complex)
+    acc += np.asarray(fn(x), dtype=complex)
+    if s == 0:
+        return acc[0] if single else acc
+    nu = np.arange(1, s + 1)
+    coef = [(-1) ** v * math.comb(s, v) for v in range(1, s + 1)]
+    rows = max(1, min(n, quadrature.MAX_BLOCK // s))
+    width = max(1, quadrature.MAX_BLOCK // (s * rows))
+    for i in range(0, len(steps), width):
+        moves = nu[:, None] * steps[i:i + width, None]  # (b, s, d)
+        for r in range(0, n, rows):
+            pts = x[None, None, r:r + rows] + moves[:, :, None]
+            terms = np.asarray(fn(pts.reshape(-1, x.shape[1])),
+                               dtype=complex).reshape(pts.shape[:3])
+            for v in range(s):
+                acc[i:i + width, r:r + rows] += coef[v] * terms[:, v]
+    return acc[0] if single else acc
 
 
 def fractional_difference(f: TestFunction, h, s: float, x):
@@ -105,7 +129,7 @@ def modulus(f: TestFunction, spec: ModulusSpec, box, grid: int) -> ModulusResult
     net = step_net(spec)
     s = spec.order
     if float(s).is_integer():
-        diffs = (difference(f.spatial, pts, h, s) for h in net)
+        diffs = difference(f.spatial, pts, np.array(net), s)
     else:
         diffs = (fractional_difference(f, h, s, pts) for h in net)
     value = float(np.max([grid_lp_norm(d, vol, spec.p) for d in diffs]))

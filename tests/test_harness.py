@@ -4,13 +4,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from quasiproj import quasiprojection
 from quasiproj.errors import (ConfigError, HypothesisViolated,
                               InvalidParams, NonPositiveValue)
 from quasiproj.functions import band_bump
-from quasiproj.harness import (ExperimentConfig, build_function,
+from quasiproj.harness import (RADIUS_LADDER, ExperimentConfig, build_function,
                                build_operator, emit, rate_fit,
                                reconstruction_check, run_experiment,
                                two_sided_ratio)
+from quasiproj.quasiprojection import evaluate_spatial
 
 CONFIGS = Path(__file__).resolve().parent.parent / "scripts" / "configs"
 
@@ -229,6 +231,34 @@ def test_reconstruction_ladder_is_exact_off_the_origin(level):
                                   np.asarray(cfg.box), cfg.grid)
     errors = [rung["error"] for rung in result["truncation"]]
     assert len(errors) == 3 and max(errors) <= 1e-15
+
+
+def test_reconstruction_ladder_analyzes_once(monkeypatch):
+    # the radius-32 site box holds the radius-8 and radius-16 ones, so one
+    # analyze call gives all three partial sums
+    cfg = ExperimentConfig.from_file(str(CONFIGS /
+                                         "reconstruct_sinc_level3.json"))
+    spec = build_operator(cfg, cfg.levels[0])
+    box = np.asarray(cfg.box)
+    probe = 0.25 * (box[:, 0] + 3 * box[:, 1])[None, :]
+    exact = complex(np.asarray(cfg.function.spatial(probe))[0])
+    per_radius = [abs(evaluate_spatial(spec, cfg.function, probe, r)[0] - exact)
+                  for r in RADIUS_LADDER]
+    calls = []
+    analyze = quasiprojection.analyze
+
+    def counted(*args):
+        calls.append(len(args[-1]))
+        return analyze(*args)
+
+    monkeypatch.setattr(quasiprojection, "analyze", counted)
+    result = reconstruction_check(spec, cfg.function, box, cfg.grid)
+    assert calls == [(2 * max(RADIUS_LADDER) + 1) ** spec.dim]
+    ladder = [rung["error"] for rung in result["truncation"]]
+    assert [rung["radius"] for rung in result["truncation"]] == \
+        list(RADIUS_LADDER)
+    assert np.max(np.abs(np.subtract(ladder, per_radius))) <= 1e-12
+    assert max(ladder) <= 1e-12
 
 
 def test_build_function_uses_params():

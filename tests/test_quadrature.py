@@ -191,6 +191,28 @@ def test_grid_points_midpoints():
         assert vol == pytest.approx(np.prod([(hi - lo) / 5 for lo, hi in box]))
 
 
+def test_grid_spec_per_axis_counts():
+    box = [[0.0, 1.0], [-2.0, 2.0], [3.0, 3.5]]
+    g = GridSpec(box, (4, 3, 2))
+    axes = [lo + (hi - lo) / n * (np.arange(n) + 0.5)
+            for (lo, hi), n in zip(box, (4, 3, 2))]
+    grids = np.meshgrid(*axes, indexing="ij")
+    assert g.counts == (4, 3, 2)
+    assert np.array_equal(g.points, np.stack([a.ravel() for a in grids], -1))
+    assert g.cell_volume == pytest.approx(0.25 * 4 / 3 * 0.25)
+    # an int is that count on every axis, a numpy integer too
+    assert GridSpec(box, np.int64(3)).counts == (3, 3, 3)
+
+
+@pytest.mark.parametrize("grid", [True, 2.5, 0, -3, (4, 0), (4, 2.5),
+                                  (4, True), (4,), (4, 4, 4)])
+def test_grid_spec_rejects_invalid_counts(grid):
+    # GridSpec(box, 0) used to give no points and an infinite cell volume,
+    # -3 a negative volume and 2.5 three points with step 0.4
+    with pytest.raises(InvalidParams, match="grid counts"):
+        GridSpec([[0.0, 1.0], [-2.0, 2.0]], grid)
+
+
 def test_fourier_sum_blocks_rows(monkeypatch):
     pts, _ = grid_points([[-3.0, 3.0], [-1.0, 2.0]], 9)
     nodes, w = gauss_nodes_box([[-0.5, 0.5], [-0.25, 0.5]], 6)
@@ -258,6 +280,9 @@ def test_grid_fourier_sum_dirichlet_kernel():
     (([[-4.0, 4.0], [-6.0, 6.0]], 48), ([[-1.0, 1.0], [-2.0, 2.0]], 32), [32]),
     (([[-2.0, 2.0], [-3.0, 3.0], [-1.0, 1.0]], 12),
      ([[-1.0, 1.0], [-1.0, 1.0], [-1.0, 1.0]], 16), [16]),
+    # per-axis counts: a dense axis (h = 1/6), then h dxi = (3/8)(1/4) = 3/32
+    (([[-4.0, 4.0], [-6.0, 6.0]], (48, 32)),
+     ([[-1.0, 1.0], [-2.0, 2.0]], (32, 16)), [32]),
 ])
 def test_grid_fourier_sum_matches_fourier_sum(monkeypatch, grid, nodes, lengths):
     grid, nodes = GridSpec(*grid), GridSpec(*nodes)

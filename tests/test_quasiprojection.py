@@ -3,12 +3,15 @@ import pytest
 
 from quasiproj.analyzers import analyze, make_analyzer
 from quasiproj.errors import InvalidParams
-from quasiproj.functions import band_bump, gaussian, hat_tensor
+from quasiproj.functions import (TestFunction, band_bump, gaussian, hat_tensor,
+                                 sinc_tensor)
 from quasiproj.generators import make_generator
 from quasiproj import quadrature
 from quasiproj.lattice import make_dilation
-from quasiproj.quadrature import grid_points
-from quasiproj.quasiprojection import (OperatorSpec, alias_shifts, error_lp,
+from quasiproj.quadrature import GridSpec, fourier_sum, grid_points
+from quasiproj import quasiprojection
+from quasiproj.quasiprojection import (OperatorSpec, _spectrum_pts,
+                                       alias_shifts, error_lp,
                                        evaluate_grid_compact,
                                        evaluate_spatial, spectral_evaluator,
                                        spectrum_support)
@@ -103,6 +106,25 @@ def test_window_follows_the_point_beyond_the_radius():
     assert np.array_equal(evaluate_spatial(spec, f, pts, 12), compact)
 
 
+def test_radius_sequence_gives_each_partial_sum():
+    # point samples are closed form, so the coefficients do not depend on
+    # the site box and each partial sum equals its own call bit for bit
+    spec = OperatorSpec(generator=make_generator("TensorSincPower",
+                                                 {"n": 1, "a": 1.0}, 2),
+                        analyzer=make_analyzer("Dirac", 2),
+                        dilation=make_dilation([[1.0, 1.0], [1.0, -1.0]]),
+                        level=2)
+    f = gaussian(2)
+    pts = np.array([[0.3, -0.2], [-1.1, 0.7], [2.05, 1.4]])
+    sums = evaluate_spatial(spec, f, pts, (1, 4, 6))
+    assert sums.shape == (3, 3)
+    for row, radius in zip(sums, (1, 4, 6)):
+        assert np.array_equal(row, evaluate_spatial(spec, f, pts, radius))
+    for radius in (-1, 2.5, True, (2, -1)):
+        with pytest.raises(InvalidParams, match="radius"):
+            evaluate_spatial(spec, f, pts, radius)
+
+
 @pytest.mark.parametrize("block", [10, 120])
 def test_window_sum_blocks_stay_within_max_block(monkeypatch, block):
     spec = OperatorSpec(generator=make_generator("BSplineTensor", {"n": 2}, 2),
@@ -148,6 +170,102 @@ def test_spectral_matches_truncated_spatial_sum():
     for x in (0.3, -1.1, 2.5):
         direct = evaluate_spatial(spec, f, x, 40)[0]
         assert complex(ev(x)) == pytest.approx(direct, abs=1e-7)
+
+
+def _windows(monkeypatch):
+    """Record (full grid, node window) of each spectral_evaluator call."""
+    seen = []
+    window = quasiprojection._node_window
+
+    def spy(spec, f, full, shifts):
+        nodes = window(spec, f, full, shifts)
+        seen.append((full, nodes))
+        return nodes
+
+    monkeypatch.setattr(quasiprojection, "_node_window", spy)
+    return seen
+
+
+@pytest.mark.parametrize("level", [0, 1, 2, 3])
+def test_spectral_evaluator_recovers_band_limited_signal(level):
+    # sinc with point samples reproduces a signal whose spectrum lies inside
+    # the band exactly; the window keeps 3278 of 4096 nodes at level 0 and
+    # under a quarter of them from level 2
+    spec = _spec("TensorSincPower", {"n": 1, "a": 1.0}, "Dirac", level=level)
+    f = band_bump(0.4, 1)
+    ev = spectral_evaluator(spec, f)
+    g = GridSpec([[-8.0, 8.0]], 256)
+    want = np.asarray(f.spatial(g.points), dtype=complex)
+    assert np.max(np.abs(ev(g) - want)) <= 1e-12
+    assert np.max(np.abs(ev(g.points[::7]) - want[::7])) <= 1e-12
+
+
+@pytest.mark.parametrize("f, dilation, level, counts", [
+    # the gaussian's box [-9, 9] meets one alias at levels 5-6
+    (gaussian(1), [[2.0]], 5, (9216,)),
+    # the sinc spectrum is an indicator: a dropped edge cell moves values ~h
+    (sinc_tensor(1), [[2.0]], 3, (512,)),
+    # S = [-13.5, 13.5] on 13824 nodes; the shift 0 alone meets it
+    (gaussian(1), [[-3.0]], 3, (9216,)),
+    # quincunx: M^6 = 8I, so one shift of [-0.5, 0.5]^2 meets S = [-4, 4]^2
+    (sinc_tensor(2), [[1.0, 1.0], [1.0, -1.0]], 6, (16, 16)),
+    (sinc_tensor(2), [[1.0, 1.0], [1.0, -1.0]], 3, (128, 128)),
+    # unequal per-axis windows in S = [-1, 1] x [-1.5, 1.5]
+    (sinc_tensor(2), [[2.0, 0.0], [0.0, 3.0]], 1, (64, 44)),
+])
+def test_node_window_matches_full_grid(monkeypatch, f, dilation, level,
+                                       counts):
+    dim = f.dim
+    spec = OperatorSpec(make_generator("TensorSincPower", {"n": 1, "a": 1.0},
+                                       dim),
+                        make_analyzer("BoxAverage", dim),
+                        make_dilation(dilation), level)
+    seen = _windows(monkeypatch)
+    ev = spectral_evaluator(spec, f)
+    [(full, nodes)] = seen
+    assert nodes.counts == counts
+    # the window's nodes are the full grid's midpoints, bit for bit
+    for a, b in zip(nodes.axes, full.axes):
+        start = np.flatnonzero(b == a[0])
+        assert len(start) == 1
+        assert np.array_equal(a, b[start[0]:start[0] + len(a)])
+    pts = GridSpec([[-3.0, 3.0]] * dim, 48 if dim == 1 else 12)
+    weights = (_spectrum_pts(spec, f, full.points, alias_shifts(spec, f))
+               * full.cell_volume)
+    want = fourier_sum(pts.points, full.points, weights)
+    tol = 1e-13 * np.max(np.abs(want))
+    assert np.max(np.abs(ev(pts) - want)) <= tol
+    assert np.max(np.abs(ev(pts.points) - want)) <= tol
+
+
+def test_node_window_on_the_sinc_rates_sweep(monkeypatch):
+    # the benchmark's sinc_rates_1d config: 9216 nodes at levels 5-6, where
+    # the gaussian's box meets one alias, and all of S at levels 2-4
+    seen = _windows(monkeypatch)
+    for level in range(2, 7):
+        spectral_evaluator(_spec("TensorSincPower", {"n": 1, "a": 1.0},
+                                 "BoxAverage", level=level), gaussian(1))
+    assert [full.counts for full, _ in seen] == [(4096,), (4096,), (8192,),
+                                                 (16384,), (32768,)]
+    assert [nodes.counts for _, nodes in seen] == [(4096,), (4096,), (8192,),
+                                                   (9216,), (9216,)]
+    assert [tuple(nodes.box[0]) for _, nodes in seen[3:]] == [(-9.0, 9.0)] * 2
+
+
+def test_empty_node_window_gives_zeros(monkeypatch):
+    # supp phi^ = [-1/4, 1/4] for a = 2, and no integer shift of [0.3, 0.7]
+    # meets it
+    spec = _spec("TensorSincPower", {"n": 1, "a": 2.0}, "Dirac")
+    f = TestFunction(name="offband", dim=1, spatial=lambda x: x[:, 0] * 0.0,
+                     fourier=lambda xi: np.ones(len(xi)),
+                     fourier_support=np.array([[0.3, 0.7]]))
+    assert alias_shifts(spec, f) == []
+    monkeypatch.setattr(quasiprojection, "_spectrum_pts", None)
+    ev = spectral_evaluator(spec, f)
+    g = GridSpec([[-2.0, 2.0]], 16)
+    assert np.array_equal(ev(g), np.zeros(16, dtype=complex))
+    assert np.array_equal(ev(g.points), np.zeros(16, dtype=complex))
+    assert ev(0.5) == 0
 
 
 def test_gaussian_l2_norm_oracle():

@@ -54,6 +54,12 @@ def test_difference_matches_fourier_multiplier(s, xi, h):
     got = difference(character, x, h, s)
     assert got.shape == (7,)
     assert np.max(np.abs(got - want)) <= 1e-13
+    # a stack of steps (m, d) gives one row per step, each the one-step value
+    steps = np.stack([h, -h, 2.5 * h])
+    stacked = difference(character, x, steps, s)
+    assert stacked.shape == (3, 7)
+    for row, step in zip(stacked, steps):
+        assert np.array_equal(row, difference(character, x, step, s))
 
 
 @pytest.mark.parametrize("s", [1, 2])
@@ -131,6 +137,53 @@ def test_modulus_monotone_in_matrix_scale():
     large = modulus(f, ModulusSpec(order=2, matrix=np.array([[0.5]]), p=2),
                     BOX, 1024).value
     assert small < large
+
+
+def _step_loop_modulus(f, spec, box, grid):
+    """The integer-order modulus one step and one stencil term at a time."""
+    pts, vol = grid_points(np.asarray(box, dtype=float), grid)
+    s = int(spec.order)
+    norms = []
+    for h in step_net(spec):
+        acc = np.zeros(len(pts), dtype=complex)
+        for nu in range(s + 1):
+            term = np.asarray(f.spatial(pts + nu * h), dtype=complex)
+            acc += (-1) ** nu * math.comb(s, nu) * term
+        norms.append(grid_lp_norm(acc, vol, spec.p))
+    return float(np.max(norms))
+
+
+@pytest.mark.parametrize("dim, grid, order, matrix, steps", [
+    (1, 1024, 2, [[0.25]], 12),
+    (2, 24, 2, [[0.3, 0.1], [-0.1, 0.2]], 96),
+    (3, 8, 3, 0.2 * np.eye(3), 36),
+])
+def test_batched_modulus_equals_step_loop(monkeypatch, dim, grid, order,
+                                          matrix, steps):
+    f = gaussian(dim)
+    spec = ModulusSpec(order=order, matrix=matrix, p=2)
+    box = [[-4.0, 4.0]] * dim
+    want = _step_loop_modulus(f, spec, box, grid)
+    calls = []
+
+    def spy(x):
+        calls.append(len(x))
+        return f.spatial(x)
+
+    counted = TestFunction(name="gaussian", dim=dim, spatial=spy)
+    n = grid ** dim
+    # one block; blocks of 5 whole steps; each step's rows split in two
+    for block, blocks in ((quadrature.MAX_BLOCK, 1),
+                          (5 * order * n, -(-steps // 5)),
+                          (n + n // 2, 2 * steps)):
+        monkeypatch.setattr(quadrature, "MAX_BLOCK", block)
+        calls.clear()
+        res = modulus(counted, spec, box, grid)
+        assert res.value == want and res.net_size == steps
+        # the nu = 0 term once, then every other stencil point once, in at
+        # most MAX_BLOCK points a call: not (order + 1) calls a step
+        assert calls[0] == n and len(calls) == blocks + 1
+        assert max(calls[1:]) <= block and sum(calls[1:]) == steps * order * n
 
 
 def test_best_approx_gaussian_tail_oracle():
