@@ -2,14 +2,15 @@
 
 The coefficient of a signal f at dilation level j and lattice site k is the
 pairing of f with the rescaled functional, normalized so that the operator
-sum uses synthesis atoms m^{j/2} phi(M^j x + k).  Every catalog functional has
-a direct classical formula (point value, derivative value, local average), so
-no limit construction is needed for evaluation.
+sum uses synthesis atoms m^{j/2} phi(M^j x + k).
 
 `analyze` is the one coefficient primitive.  It takes a single site or an
-(n, d) array of sites; point kinds make one signal call over all sites, and
-integral kinds share one tensor Gauss rule per order and one convergence
-test across the sites.
+(n, d) array of sites.  Point, average, mixed and kernel kinds pair in space:
+point kinds make one signal call over all sites, and integral kinds share one
+tensor Gauss rule per order and one convergence test across the sites.  The
+derivative kinds are distributions, paired through the signal's spectrum:
+one converge-checked inverse transform onto the site box serves every site,
+under any dilation matrix.
 """
 
 from dataclasses import dataclass, field
@@ -17,12 +18,12 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (DerivativeUnavailable, InvalidParams,
-                     UnsupportedInput, UnsupportedMatrix)
+from .errors import InvalidParams, UnsupportedInput, UnsupportedMatrix
 from .generators import Generator, as_int
-from .lattice import DilationMatrix
-from .quadrature import MAX_BLOCK, converge, gauss_nodes_box, split_box
-from .functions import TestFunction
+from .lattice import DilationMatrix, map_box
+from .quadrature import (MAX_BLOCK, GridSpec, converge, gauss_nodes_box,
+                         grid_inverse_fourier, split_box)
+from .functions import PROFILE_TOL, TestFunction
 
 KINDS = ("Dirac", "DiracDerivative", "BoxAverage", "MixedTensor", "KernelL1",
          "DiracPlusDerivative")
@@ -134,15 +135,12 @@ def analyze(f: TestFunction, a: AnalysisFunctional, M: DilationMatrix,
 
 def _pairings(f, a, M, j, sites):
     """Unscaled pairings <f(M^{-j} .), phi~(. + k)> for the rows k of sites."""
+    if a.kind in ("DiracDerivative", "DiracPlusDerivative"):
+        return M.det_abs ** j * _spectral_pairings(f, a, M, j, sites)
     Minv_j = M.power(-j)
     x = -(sites @ Minv_j.T)  # the sample points -M^{-j} k
     if a.kind == "Dirac":
         return np.asarray(f.spatial(x), dtype=complex)
-    if a.kind == "DiracDerivative":
-        return _derivative_term(f, a.beta, M, j, x)
-    if a.kind == "DiracPlusDerivative":
-        return (np.asarray(f.spatial(x), dtype=complex)
-                + _derivative_term(f, a.beta, M, j, x))
     if a.kind == "KernelL1":
         # piecewise over half-integer knot cells: spline-type kernels are
         # smooth on each cell, so the doubling rule converges there
@@ -162,24 +160,31 @@ def _pairings(f, a, M, j, sites):
                          avg)
 
 
-def _derivative_term(f, beta, M, j, x):
-    # <f(M^{-j}.), D^beta delta(. + k)> = (-1)^[beta] D^beta[f(M^{-j}.)](-k);
-    # the chain rule contributes prod m_v^{-j beta_v} for diagonal M, and
-    # x holds the points -M^{-j} k.
-    if not (M.is_diagonal() or M.isotropic):
-        raise UnsupportedMatrix(
-            "derivative analyzers support only diagonal or isotropic dilations")
-    if not M.is_diagonal():
-        raise UnsupportedMatrix(
-            "non-diagonal isotropic dilations mix partial derivatives; "
-            "only diagonal matrices are implemented for derivative kinds")
-    try:
-        df = f.derivative(beta)
-    except UnsupportedInput as exc:
-        raise DerivativeUnavailable(str(exc)) from exc
-    diag = np.abs(np.diag(M.entries))
-    chain = float(np.prod(diag ** (-j * np.asarray(beta, dtype=float))))
-    return (-1) ** sum(beta) * chain * np.asarray(df(x))
+def _spectral_pairings(f, a, M, j, sites):
+    """integral of f^(M*^j eta) conj(phi~^(eta)) exp(-2 pi i k . eta) over
+    the bounding box of M*^{-j} supp f^, for the rows k of sites: one
+    `grid_inverse_fourier` onto the unit-step grid of the points -k over the
+    sites' bounding box, each site read from it."""
+    if f.fourier is None or f.fourier_support is None:
+        raise UnsupportedInput(f"{a.kind} coefficients are a transform of the "
+                               f"signal's compact Fourier profile, which "
+                               f"{f.name} lacks")
+    if not np.array_equal(sites, np.round(sites)):
+        raise InvalidParams(f"{a.kind} coefficients need integer lattice sites")
+    lo, hi = sites.min(axis=0), sites.max(axis=0)
+    target = GridSpec(np.column_stack([-hi - 0.5, 0.5 - lo]),
+                      tuple(int(n) for n in hi - lo + 1))
+    Mj = M.adjoint_power(j)
+
+    def profile(eta):
+        return (np.asarray(f.fourier(eta @ Mj.T), dtype=complex)
+                * np.conj(fourier_symbol(a, eta)))
+
+    vals = grid_inverse_fourier(profile,
+                                map_box(np.linalg.inv(Mj), f.fourier_support),
+                                target, PROFILE_TOL, "coefficient transform")
+    return vals[np.ravel_multi_index((hi - sites).astype(int).T,
+                                     target.counts)]
 
 
 def _adaptive_box(f, Minv_j, sites, box, axes, kernel=None):

@@ -15,7 +15,7 @@ import numpy as np
 from .analyzers import AnalysisFunctional, fourier_symbol
 from .errors import InvalidParams, NonSummableDecay
 from .generators import Generator
-from .quadrature import GridSpec, grid_lp_norm, grid_points
+from .quadrature import GridSpec, grid_lp_norm
 from .smoothness import difference
 
 ZERO_TOL = 1e-7
@@ -67,7 +67,7 @@ def _richardson_scan(fn, dim, axis):
 
 
 def strang_fix_order(g: Generator) -> int:
-    """Largest n with phi^(0) = 1 and all derivatives of phi^ up to order
+    """Largest n with phi^(0) = 1 and every derivative of phi^ up to order
     n-1 vanishing at the nonzero integer points (per axis, symmetric scan).
 
     Returns 0 when the normalization phi^(0) = 1 fails or some nonzero
@@ -114,7 +114,7 @@ def strict_compat_radius(g: Generator, a: AnalysisFunctional) -> float:
     for i in range(0, 9):
         delta = 2.0 ** (-i)
         box = np.array([[-0.5 * delta, 0.5 * delta]] * g.dim)
-        pts, _ = grid_points(box, STRICT_GRID)  # midpoints: strictly inside
+        pts = GridSpec(box, STRICT_GRID).points  # midpoints: strictly inside
         if np.max(np.abs(defect(pts))) <= STRICT_TOL:
             return delta
     return 0.0
@@ -134,7 +134,7 @@ def mikhlin_constant(g: Generator, a: AnalysisFunctional) -> float:
     for e in range(-6, 7):
         r = 2.0 ** e
         box = np.array([[-2 * r, 2 * r]] * d)
-        pts, _ = grid_points(box, MIKHLIN_GRID)
+        pts = GridSpec(box, MIKHLIN_GRID).points
         rad = np.sqrt(np.sum(pts ** 2, axis=-1))
         mask = (rad >= r) & (rad <= 2 * r)
         if not np.any(mask):

@@ -21,10 +21,6 @@ class QuadratureFailure(QuasiprojError):
     """A quadrature did not reach its accuracy target at the node cap."""
 
 
-class DerivativeUnavailable(QuasiprojError):
-    """A test function lacks the analytic derivative closure needed here."""
-
-
 class UnsupportedInput(QuasiprojError):
     """The input lacks a feature this path requires (e.g. a compact Fourier profile)."""
 

@@ -1,23 +1,22 @@
 """Analytic test signals with exact spatial evaluation.
 
-Each entry carries an exact spatial evaluator, optional analytic derivative
-closures, and (when available) an exact Fourier profile with a declared
-support box.  The box is what the spectral paths and best-approximation
-integrals rely on, so profiles without genuine compact support (the
-Gaussian) declare a truncation box whose discarded mass is below 1e-30.
+Each entry carries an exact spatial evaluator and (when available) an exact
+Fourier profile with a declared support box.  The box is what the spectral
+paths, derivative coefficients and best-approximation integrals rely on, so
+profiles without genuine compact support (the Gaussian) declare a truncation
+box whose discarded mass is below 1e-30.
 Signals built from a profile alone evaluate by `quadrature.inverse_fourier`,
 whose orders depend only on the points asked for, so a value does not depend
 on earlier calls.
 """
 
-from dataclasses import dataclass, field
-import itertools
+from dataclasses import dataclass
 import numbers
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import InvalidParams, UnsupportedInput
+from .errors import InvalidParams
 from .quadrature import as_points, inverse_fourier, split_box
 
 
@@ -30,62 +29,32 @@ class TestFunction:
     spatial: Callable
     fourier: Optional[Callable] = None
     fourier_support: Optional[np.ndarray] = None
-    derivatives: dict = field(default_factory=dict)
 
     def __call__(self, x):
         pts, scalar = as_points(x, self.dim)
         vals = self.spatial(pts)
         return complex(vals[0]) if scalar else np.asarray(vals)
 
-    def derivative(self, beta):
-        beta = tuple(int(b) for b in beta)
-        try:
-            return self.derivatives[beta]
-        except KeyError:
-            raise UnsupportedInput(
-                f"{self.name} lacks the derivative closure for beta={beta}") from None
-
 
 PROFILE_TOL = 1e-12  # absolute tolerance of the profile-backed evaluators
 
 
-def _profile_quadrature(profile, support, cuts=None):
-    """Adaptive inverse-Fourier evaluator of a profile over its support box,
-    cut per axis at the kinks cuts[axis] (`split_box`), where cutting
-    restores spectral convergence (a radial power |xi|^s at 0, say)."""
-    cap = 4096 if support.shape[0] == 1 else 128
+def from_profile(name, dim, profile, support, cuts=None):
+    """Build a TestFunction from a compactly supported Fourier profile.
+
+    The spatial evaluator is adaptive inverse-Fourier quadrature of the
+    profile over its support box, cut per axis at the kinks cuts[axis]
+    (`split_box`), where cutting restores spectral convergence (a radial
+    power |xi|^s at 0, say).
+    """
+    support = np.asarray(support, dtype=float)
     boxes = [support] if cuts is None else split_box(support, cuts)
 
     def spatial(pts):
-        return inverse_fourier(profile, boxes, pts, PROFILE_TOL, 64, cap)
+        return inverse_fourier(profile, boxes, pts, PROFILE_TOL, 64)
 
-    return spatial
-
-
-def from_profile(name, dim, profile, support, derivative_orders=(),
-                 cuts=None):
-    """Build a TestFunction from a compactly supported Fourier profile.
-
-    The spatial evaluator is adaptive quadrature of the profile cut at `cuts`;
-    derivative closures differentiate under the integral (profile times
-    (2 pi i xi)^beta), exact up to the quadrature target, not a difference.
-    """
-    support = np.asarray(support, dtype=float)
-    spatial = _profile_quadrature(profile, support, cuts=cuts)
-    derivs = {}
-    for beta in derivative_orders:
-        beta = tuple(int(b) for b in beta)
-
-        def dprofile(pts, _b=beta):
-            fac = np.ones(pts.shape[:-1], dtype=complex)
-            for ax, order in enumerate(_b):
-                if order:
-                    fac = fac * (2j * np.pi * pts[..., ax]) ** order
-            return fac * np.asarray(profile(pts), dtype=complex)
-
-        derivs[beta] = _profile_quadrature(dprofile, support)
     return TestFunction(name=name, dim=dim, spatial=spatial, fourier=profile,
-                        fourier_support=support, derivatives=derivs)
+                        fourier_support=support)
 
 
 # -- catalog ----------------------------------------------------------------
@@ -96,34 +65,11 @@ def gaussian(dim: int = 1) -> TestFunction:
     def spatial(pts):
         return np.exp(-np.pi * np.sum(pts ** 2, axis=-1))
 
-    def _axis_factor(order, t):
-        if order == 0:
-            return np.ones_like(t)
-        if order == 1:
-            return -2.0 * np.pi * t
-        if order == 2:
-            return 4.0 * np.pi ** 2 * t ** 2 - 2.0 * np.pi
-        raise UnsupportedInput("gaussian derivatives provided up to order 2 per axis")
-
-    derivs = {}
-
-    def _make(beta):
-        def d(pts, _b=beta):
-            out = np.exp(-np.pi * np.sum(pts ** 2, axis=-1))
-            for ax, order in enumerate(_b):
-                out = out * _axis_factor(order, pts[..., ax])
-            return out
-        return d
-
-    for beta in _multi_indices(dim, 2):
-        derivs[beta] = _make(beta)
-
     # The wide truncation box keeps tail integrals of |f^|^2 meaningful down
     # to the denormal range; discarded mass is below exp(-2*pi*81).
     support = np.array([[-9.0, 9.0]] * dim)
     return TestFunction(name="gaussian", dim=dim, spatial=spatial,
-                        fourier=spatial, fourier_support=support,
-                        derivatives=derivs)
+                        fourier=spatial, fourier_support=support)
 
 
 def band_bump(rho: float = 0.4, dim: int = 1) -> TestFunction:
@@ -140,8 +86,7 @@ def band_bump(rho: float = 0.4, dim: int = 1) -> TestFunction:
         return np.prod(out, axis=-1)
 
     support = np.array([[-rho, rho]] * dim)
-    return from_profile(f"band_bump({rho:g})", dim, profile, support,
-                        derivative_orders=_multi_indices(dim, 2))
+    return from_profile(f"band_bump({rho:g})", dim, profile, support)
 
 
 def hat_tensor(dim: int = 1) -> TestFunction:
@@ -184,16 +129,8 @@ def translate(f: TestFunction, shift) -> TestFunction:
             phase = np.exp(-2j * np.pi * (pts @ a))
             return phase * np.asarray(f.fourier(pts), dtype=complex)
 
-    derivs = {b: (lambda pts, _d=d: _d(pts - a)) for b, d in f.derivatives.items()}
     return TestFunction(name=f"{f.name}_shift", dim=f.dim, spatial=spatial,
-                        fourier=fourier, fourier_support=f.fourier_support,
-                        derivatives=derivs)
-
-
-def _multi_indices(dim, per_axis_max):
-    if dim > 2:
-        return [(0,) * dim]
-    return list(itertools.product(range(per_axis_max + 1), repeat=dim))
+                        fourier=fourier, fourier_support=f.fourier_support)
 
 
 # the test signals the experiment configs name: name -> (builder taking the

@@ -129,7 +129,7 @@ class Generator:
             raise QuadratureFailure(
                 f"{self.kind} has no Fourier support box to integrate over")
         return inverse_fourier(self._fourier_pts, [self.fourier_support], pts,
-                               SPATIAL_TOL, 32, 4096 if self.dim == 1 else 128)
+                               SPATIAL_TOL, 32)
 
 
 def make_generator(kind: str, params=None, dim: int = 1) -> Generator:

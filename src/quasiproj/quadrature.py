@@ -7,7 +7,8 @@ value never depends on earlier calls.
 
 Inverse-Fourier sums have two forms: `fourier_sum` at arbitrary points, and
 `grid_fourier_sum` from the nodes of one midpoint grid (`GridSpec`) to the
-points of another, axis by axis.
+points of another, axis by axis.  `grid_inverse_fourier` is the
+converge-checked transform of a profile onto a grid through the latter.
 """
 
 from dataclasses import dataclass, field
@@ -22,6 +23,8 @@ from .errors import InvalidParams, QuadratureFailure
 
 # largest rows x nodes block a vectorized sum builds at once
 MAX_BLOCK = 4_000_000
+NODE_START = 64          # grid_inverse_fourier nodes per axis: first order,
+NODE_LOG2_CAP = 22       # doubled up to the largest power of two n, n^d <= 2^22
 
 
 # typed: 2.0 or True must not hit the cached rule of 2 or 1
@@ -126,12 +129,14 @@ def integrate_box(func, box, tol=1e-10, start_order=16, max_order=1024):
     return converge(at, start_order, max_order, tol, "box integral")
 
 
-def inverse_fourier(profile, boxes, pts, tol, start, cap):
+def inverse_fourier(profile, boxes, pts, tol, start):
     """Inverse Fourier transform of `profile` at the rows x of pts (n, d):
     the sum over `boxes` of integral profile(xi) exp(2 pi i x . xi) dxi.
 
     Each order takes one tensor Gauss rule per box, summed by `fourier_sum`;
-    orders double from `start` to `cap` through `converge`."""
+    orders double from `start` through `converge`, up to 4096 in 1-D and
+    128 per axis otherwise."""
+    cap = 4096 if len(boxes[0]) == 1 else 128
 
     def at(order):
         vals = 0.0
@@ -213,12 +218,6 @@ class GridSpec:
         return math.prod(self.steps)
 
 
-def grid_points(box, grid: int):
-    """Midpoint grid over a box: (grid^d, d) points plus the cell volume."""
-    g = GridSpec(box, grid)
-    return g.points, g.cell_volume
-
-
 def grid_fourier_sum(grid: GridSpec, nodes: GridSpec, weights):
     """`fourier_sum(grid.points, nodes.points, weights)` for weights (N,) on
     the nodes in row-major order, as a product of one sum per axis.
@@ -238,6 +237,27 @@ def grid_fourier_sum(grid: GridSpec, nodes: GridSpec, weights):
         w = _axis_sum(x, xi, w.reshape(len(xi), -1) if rest else w)
         w = np.moveaxis(w.reshape((len(x),) + rest), 0, k)
     return w.ravel()
+
+
+def grid_inverse_fourier(profile, support, target, tol, what):
+    """integral over the box `support` of profile(xi) exp(2 pi i x . xi) dxi
+    at the points x of the `GridSpec` target, in row-major order.
+
+    The profile is sampled on the midpoints `GridSpec(support, n)`, times
+    the cell volume, and summed onto the target by `grid_fourier_sum`;
+    `converge` doubles n from NODE_START to within tol, up to
+    2^(NODE_LOG2_CAP // d) nodes per axis, and names `what` at the cap.
+    Midpoint sums converge spectrally only for profiles that are smooth on
+    the box and flat to every order at its edges."""
+
+    def at(n):
+        nodes = GridSpec(support, n)
+        weights = (np.asarray(profile(nodes.points), dtype=complex)
+                   * nodes.cell_volume)
+        return grid_fourier_sum(target, nodes, weights)
+
+    return converge(at, NODE_START, 2 ** (NODE_LOG2_CAP // len(support)),
+                    tol, what)
 
 
 def _axis_sum(x, xi, w):

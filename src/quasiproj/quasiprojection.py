@@ -136,18 +136,26 @@ def alias_shifts(spec: OperatorSpec, f: TestFunction):
     """Integer lattice shifts that can contribute to the alias sum.
 
     k contributes iff xi + M*^j k hits supp f^ for some xi in the output
-    spectrum box; the enumeration is computed from the support boxes.
+    spectrum box S, that is iff M*^j k lies in the box supp f^ - S (to a
+    slack of 1e-12).  The candidates are the integer points of the bounding
+    box of M*^{-j} (supp f^ - S); under a non-diagonal M some of them miss.
     """
     if f.fourier_support is None:
         raise UnsupportedInput(f"{f.name} lacks a compactly supported profile")
     S = spectrum_support(spec)
     diff = np.stack([f.fourier_support[:, 0] - S[:, 1],
                      f.fourier_support[:, 1] - S[:, 0]], axis=1)
-    back = map_box(np.linalg.inv(spec.dilation.adjoint_power(spec.level)), diff)
+    Aj = spec.dilation.adjoint_power(spec.level)
+    back = map_box(np.linalg.inv(Aj), diff)
     lo = np.ceil(back[:, 0] - 1e-12).astype(int)
     hi = np.floor(back[:, 1] + 1e-12).astype(int)
-    return [np.array(k) for k in
-            itertools.product(*[range(a, b + 1) for a, b in zip(lo, hi)])]
+    axes = [range(a, b + 1) for a, b in zip(lo, hi)]
+    ks = np.array(list(itertools.product(*axes)), dtype=int)
+    ks = ks.reshape(-1, spec.dim)  # (0, d) when an axis is empty
+    moved = ks @ Aj.T
+    keep = np.all((moved >= diff[:, 0] - 1e-12)
+                  & (moved <= diff[:, 1] + 1e-12), axis=1)
+    return list(ks[keep])
 
 
 def _spectrum_pts(spec, f, pts, shifts):

@@ -20,13 +20,11 @@ from .errors import InvalidParams, UnsupportedInput
 from .functions import PROFILE_TOL, TestFunction, from_profile
 from . import quadrature
 from .lattice import map_box
-from .quadrature import (GridSpec, converge, gauss_nodes_box, grid_fourier_sum,
-                         grid_lp_norm, grid_points)
+from .quadrature import (GridSpec, gauss_nodes_box, grid_inverse_fourier,
+                         grid_lp_norm)
 
 DIRECTIONS = 16          # angular directions of the step net in 2-D
 RADII = 6                # radius ladder 1 - 2^-i, i = 1..RADII
-NODE_START = 64          # best_approx nodes per axis: first order, doubled up
-NODE_LOG2_CAP = 22       # to the largest power of two with (nodes)^d <= 2^22
 
 
 @dataclass(frozen=True)
@@ -125,14 +123,15 @@ def step_net(spec: ModulusSpec):
 def modulus(f: TestFunction, spec: ModulusSpec, box, grid: int) -> ModulusResult:
     """Sampled anisotropic modulus: max over the step net of the grid L_p
     norm of the order-s difference.  A lower estimate of the exact sup."""
-    pts, vol = grid_points(np.asarray(box, dtype=float), grid)
+    g = GridSpec(box, grid)
     net = step_net(spec)
     s = spec.order
     if float(s).is_integer():
-        diffs = difference(f.spatial, pts, np.array(net), s)
+        diffs = difference(f.spatial, g.points, np.array(net), s)
     else:
-        diffs = (fractional_difference(f, h, s, pts) for h in net)
-    value = float(np.max([grid_lp_norm(d, vol, spec.p) for d in diffs]))
+        diffs = (fractional_difference(f, h, s, g.points) for h in net)
+    value = float(np.max([grid_lp_norm(d, g.cell_volume, spec.p)
+                          for d in diffs]))
     return ModulusResult(value=value, net_size=len(net))
 
 
@@ -186,9 +185,8 @@ def best_approx(f: TestFunction, A, p, box, grid: int) -> float:
     p = 2: exact Parseval route (tail mass of the profile outside A* T^d).
     Other p: the upper bound ||f - N_A f||_p(box), N_A a de la Vallee Poussin
     type smoothing within an absolute constant of the infimum: the residual
-    profile (1 - eta(A*^{-1} xi)) f^(xi) on midpoint nodes over the support,
-    summed onto GridSpec(box, grid) by `grid_fourier_sum`, with the nodes per
-    axis doubled from NODE_START by `converge` to within PROFILE_TOL.
+    profile (1 - eta(A*^{-1} xi)) f^(xi) over the support, transformed onto
+    GridSpec(box, grid) by `grid_inverse_fourier` to within PROFILE_TOL.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     if f.fourier is None or f.fourier_support is None:
@@ -201,15 +199,12 @@ def best_approx(f: TestFunction, A, p, box, grid: int) -> float:
     Astar_inv = np.linalg.inv(A.T)
     target = GridSpec(box, grid)
 
-    def at(n):
-        nodes = GridSpec(f.fourier_support, n)
-        xi = nodes.points
-        resid = (1.0 - eta_profile(xi @ Astar_inv.T)) * \
-            np.asarray(f.fourier(xi), dtype=complex) * nodes.cell_volume
-        return grid_fourier_sum(target, nodes, resid)
+    def resid(xi):
+        return (1.0 - eta_profile(xi @ Astar_inv.T)) * \
+            np.asarray(f.fourier(xi), dtype=complex)
 
-    vals = converge(at, NODE_START, 2 ** (NODE_LOG2_CAP // d), PROFILE_TOL,
-                    "best approximation")
+    vals = grid_inverse_fourier(resid, f.fourier_support, target, PROFILE_TOL,
+                                "best approximation")
     return grid_lp_norm(vals, target.cell_volume, p)
 
 
@@ -237,8 +232,8 @@ def besov_partial_norm(f: TestFunction, M, alpha, p, nu_max: int,
         raise InvalidParams(f"nu_max must be >= 1, got {nu_max}")
     ent = M.entries if hasattr(M, "entries") else np.atleast_2d(np.asarray(M, float))
     det = abs(float(np.linalg.det(ent)))
-    pts, vol = grid_points(np.asarray(box, dtype=float), grid)
-    base = grid_lp_norm(np.asarray(f.spatial(pts)), vol, p)
+    g = GridSpec(box, grid)
+    base = grid_lp_norm(np.asarray(f.spatial(g.points)), g.cell_volume, p)
     terms = []
     for nu in range(1, nu_max + 1):
         Anu = np.linalg.matrix_power(ent, nu)

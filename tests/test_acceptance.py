@@ -19,7 +19,7 @@ from quasiproj.generators import make_generator
 from quasiproj.harness import (ExperimentConfig, emit, rate_fit,
                                run_experiment, two_sided_ratio)
 from quasiproj.lattice import make_dilation
-from quasiproj.quadrature import grid_lp_norm, grid_points
+from quasiproj.quadrature import GridSpec, grid_lp_norm
 from quasiproj.quasiprojection import (OperatorSpec, error_lp,
                                        evaluate_grid_compact,
                                        evaluate_spatial, spectral_evaluator)
@@ -47,7 +47,7 @@ def test_exact_recovery_point_sampling():
     f = band_bump(0.4, 1)
     spec = _op("TensorSincPower", {"n": 1, "a": 1.0}, "Dirac", 0)
     ev = spectral_evaluator(spec, f)
-    pts, _ = grid_points(BOX8, 4096)
+    pts = GridSpec(BOX8, 4096).points
     err = float(np.max(np.abs(np.asarray(f.spatial(pts), dtype=complex)
                               - ev(pts))))
     dt = time.monotonic() - t0
@@ -60,7 +60,7 @@ def test_exact_recovery_rational_profile_with_averages():
     f = band_bump(0.4, 1)
     spec = _op("RationalBandlimited", {}, "BoxAverage", 1)
     ev = spectral_evaluator(spec, f)
-    pts, _ = grid_points(BOX8, 4096)
+    pts = GridSpec(BOX8, 4096).points
     err = float(np.max(np.abs(np.asarray(f.spatial(pts), dtype=complex)
                               - ev(pts))))
     dt = time.monotonic() - t0
@@ -158,7 +158,8 @@ def test_metric_oracles():
     details.append("tail oracle ok" if ok else "tail oracle FAILED")
 
     # sampled modulus vs the multiplier identity on the shared step net
-    xi, vol = grid_points(np.array([[-9.0, 9.0]]), 16384)
+    grid_spec = GridSpec(np.array([[-9.0, 9.0]]), 16384)
+    xi, vol = grid_spec.points, grid_spec.cell_volume
     fhat = np.exp(-np.pi * np.sum(xi ** 2, axis=-1))
     mod_ok = True
     for j in range(2, 7):
@@ -173,7 +174,8 @@ def test_metric_oracles():
     details.append("multiplier oracle ok" if mod_ok else "multiplier oracle FAILED")
 
     P = band_bump(0.4, 1)
-    pts, vol = grid_points(BOX8, 1024)
+    grid_spec = GridSpec(BOX8, 1024)
+    pts, vol = grid_spec.points, grid_spec.cell_volume
     ratios = []
     for s in (1.0, 1.5, 2.0):
         L = fractional_laplacian(P, s)

@@ -5,8 +5,8 @@ import pytest
 
 from quasiproj.analyzers import (alpha_bound, analyze, fourier_symbol,
                                  make_analyzer)
-from quasiproj.errors import (DerivativeUnavailable, InvalidParams,
-                              UnsupportedMatrix)
+from quasiproj.errors import (InvalidParams, QuadratureFailure,
+                              UnsupportedInput, UnsupportedMatrix)
 from quasiproj.functions import band_bump, gaussian, hat_tensor
 from quasiproj.generators import make_generator
 from quasiproj.lattice import make_dilation
@@ -95,12 +95,103 @@ def test_point_plus_derivative_is_sum():
     assert total == pytest.approx(a + b, rel=1e-13)
 
 
-def test_derivative_needs_closure():
-    f = hat_tensor(1)  # no derivative closures
+def test_derivative_needs_compact_profile():
+    f = hat_tensor(1)  # no compact Fourier profile
     M = make_dilation([2.0])
     d = make_analyzer("DiracDerivative", 1, beta=(1,))
-    with pytest.raises(DerivativeUnavailable):
+    with pytest.raises(UnsupportedInput, match="hat"):
         analyze(f, d, M, 0, np.array([0]))
+
+
+def test_derivative_transform_3d_raises_at_node_cap():
+    # the gaussian's box [-9, 9]^3 needs more than the 3-D cap of 128 nodes
+    # per axis before two orders agree
+    M = make_dilation(np.diag([2.0] * 3))
+    d = make_analyzer("DiracDerivative", 3, beta=(1, 0, 0))
+    with pytest.raises(QuadratureFailure, match="coefficient transform"):
+        analyze(gaussian(3), d, M, 1, _site_cube([2, 2, 2]))
+
+
+def _site_cube(radii):
+    """The sites k with |k_v| <= radii[v], (n, d) in row-major order."""
+    r = np.asarray(radii)
+    return (np.indices(2 * r + 1).reshape(len(r), -1).T - r).astype(float)
+
+
+def _gaussian_axis_derivative(order, t):
+    """d^n/dt^n exp(-pi t^2) = (-sqrt(pi))^n H_n(sqrt(pi) t) exp(-pi t^2),
+    H_n the physicists' Hermite polynomial (H_{n+1} = 2y H_n - 2n H_{n-1})."""
+    y = math.sqrt(math.pi) * t
+    h_prev, h = np.zeros_like(y), np.ones_like(y)
+    for n in range(order):
+        h_prev, h = h, 2 * y * h - 2 * n * h_prev
+    return (-math.sqrt(math.pi)) ** order * h * np.exp(-math.pi * t * t)
+
+
+def _gaussian_partial(beta, x):
+    """(D^beta f)(x) for the d-dimensional gaussian at the rows of x."""
+    return np.prod([_gaussian_axis_derivative(b, x[:, v])
+                    for v, b in enumerate(beta)], axis=0)
+
+
+def _assert_close_to_largest(got, want):
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("entries, levels, kind, beta", [
+    ([[2.0]], range(4), "DiracDerivative", (1,)),
+    ([[2.0]], range(4), "DiracDerivative", (2,)),
+    ([[2.0]], range(4), "DiracDerivative", (3,)),
+    ([[2.0]], range(4), "DiracPlusDerivative", (2,)),
+    (np.diag([2.0, 3.0]), range(3), "DiracDerivative", (1, 0)),
+    (np.diag([2.0, 3.0]), range(3), "DiracDerivative", (1, 1)),
+])
+def test_derivative_coefficients_match_gaussian_chain_rule(entries, levels,
+                                                           kind, beta):
+    # diagonal M: <f(M^{-j} .), D^beta delta(. + k)> is
+    # (-1)^[beta] prod_v (M^{-j})_vv^beta_v (D^beta f)(-M^{-j} k)
+    M = make_dilation(entries)
+    a = make_analyzer(kind, M.dim, beta=beta)
+    for j in levels:
+        scale = np.diag(M.power(-j))
+        sites = _site_cube(np.round(4 / scale).astype(int) + 2)
+        x = -sites * scale
+        want = ((-1) ** sum(beta) * np.prod(scale ** np.array(beta))
+                * _gaussian_partial(beta, x))
+        if kind == "DiracPlusDerivative":
+            want = want + _gaussian_partial((0,) * M.dim, x)
+        got = analyze(gaussian(M.dim), a, M, j, sites)
+        _assert_close_to_largest(got, M.det_abs ** (-j / 2) * want)
+
+
+def test_derivative_coefficients_under_quincunx():
+    # d_1[f(M^{-j} x)] = sum_i (M^{-j})_{i1} (d_i f)(M^{-j} x), at x = -k
+    M = make_dilation([[1.0, 1.0], [1.0, -1.0]])
+    a = make_analyzer("DiracDerivative", 2, beta=(1, 0))
+    sites = _site_cube([12, 12])
+    for j in range(1, 5):
+        Minv = M.power(-j)
+        x = -sites @ Minv.T
+        want = -sum(Minv[i, 0] * _gaussian_partial(e, x)
+                    for i, e in enumerate([(1, 0), (0, 1)]))
+        got = analyze(gaussian(2), a, M, j, sites)
+        _assert_close_to_largest(got, M.det_abs ** (-j / 2) * want)
+
+
+def test_band_bump_2d_derivative_is_tensor_product():
+    # the profile is a tensor product, so under 2I the d_1 coefficient at
+    # (k1, k2) is the 1-D derivative coefficient at k1 times the 1-D point
+    # coefficient at k2
+    M1, M2 = make_dilation([2.0]), make_dilation(np.diag([2.0, 2.0]))
+    f1, f2 = band_bump(0.4, 1), band_bump(0.4, 2)
+    d1 = make_analyzer("DiracDerivative", 1, beta=(1,))
+    d2 = make_analyzer("DiracDerivative", 2, beta=(1, 0))
+    axis = _site_cube([6])
+    for j in range(3):
+        want = np.outer(analyze(f1, d1, M1, j, axis),
+                        analyze(f1, make_analyzer("Dirac", 1), M1, j, axis))
+        got = analyze(f2, d2, M2, j, _site_cube([6, 6]))
+        _assert_close_to_largest(got, want.ravel())
 
 
 def test_mixed_tensor_coefficient():
@@ -154,6 +245,10 @@ def test_site_array_shape_checked():
     M = make_dilation(np.diag([2.0, 2.0]))
     with pytest.raises(InvalidParams):
         analyze(gaussian(2), make_analyzer("Dirac", 2), M, 0, np.zeros((3, 1)))
+    # the derivative transform reads sites off a unit-step grid
+    d = make_analyzer("DiracDerivative", 2, beta=(1, 0))
+    with pytest.raises(InvalidParams, match="integer"):
+        analyze(gaussian(2), d, M, 0, np.array([[0.0, 0.0], [0.5, 1.0]]))
 
 
 @pytest.mark.parametrize("kind, sites", [

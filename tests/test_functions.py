@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from quasiproj.errors import InvalidParams, UnsupportedInput
+from quasiproj.errors import InvalidParams
 from quasiproj.functions import (band_bump, gaussian, get, hat_tensor,
                                  sinc_tensor, translate)
 from quasiproj.quadrature import integrate_box, inverse_fourier
@@ -14,7 +14,7 @@ def _assert_matches_profile(f):
     """The spatial evaluator against the inverse transform of the profile
     over its support box, at fixed probe points."""
     pts = np.linspace(-2.0, 2.0, 21)[:, None]
-    want = inverse_fourier(f.fourier, [f.fourier_support], pts, 1e-10, 64, 4096)
+    want = inverse_fourier(f.fourier, [f.fourier_support], pts, 1e-10, 64)
     assert np.max(np.abs(f.spatial(pts) - want)) <= 1e-8
 
 
@@ -30,23 +30,6 @@ def test_gaussian_self_dual_consistency():
     _assert_matches_profile(gaussian(1))
 
 
-def test_gaussian_derivatives_match_finite_differences():
-    f = gaussian(1)
-    d1 = f.derivative((1,))
-    d2 = f.derivative((2,))
-    h = 1e-5
-    for x in (0.3, -1.2):
-        fd1 = (f(x + h) - f(x - h)) / (2 * h)
-        fd2 = (f(x + h) - 2 * f(x) + f(x - h)) / h ** 2
-        assert d1(np.array([[x]]))[0] == pytest.approx(fd1, rel=1e-8)
-        assert d2(np.array([[x]]))[0] == pytest.approx(fd2, rel=1e-5)
-
-
-def test_gaussian_missing_derivative_raises():
-    with pytest.raises(UnsupportedInput):
-        gaussian(1).derivative((7,))
-
-
 def test_band_bump_spectrum_box():
     f = band_bump(0.4, 1)
     np.testing.assert_allclose(f.fourier_support, [[-0.4, 0.4]])
@@ -60,15 +43,6 @@ def test_band_bump_value_is_profile_integral():
     want = integrate_box(lambda p: np.exp(1 - 1 / (1 - (p[:, 0] / 0.4) ** 2)),
                          [[-0.4 + 1e-12, 0.4 - 1e-12]], tol=1e-12)
     assert complex(f(0.0)).real == pytest.approx(want, rel=1e-9)
-
-
-def test_band_bump_derivative_closure():
-    f = band_bump(0.4, 1)
-    d1 = f.derivative((1,))
-    h = 1e-5
-    x = 0.7
-    fd = (complex(f(x + h)) - complex(f(x - h))) / (2 * h)
-    assert d1(np.array([[x]]))[0] == pytest.approx(fd, rel=1e-7)
 
 
 def test_hat_tensor_values_and_transform():

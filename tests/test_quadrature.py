@@ -16,7 +16,7 @@ from quasiproj.generators import make_generator
 from quasiproj.lattice import make_dilation
 from quasiproj.quadrature import (GridSpec, as_points, converge, fourier_sum,
                                   gauss_nodes_box, grid_fourier_sum,
-                                  grid_lp_norm, grid_points, integrate_box,
+                                  grid_lp_norm, integrate_box,
                                   split_box)
 from quasiproj.quasiprojection import (OperatorSpec, error_lp,
                                        spectral_evaluator)
@@ -180,15 +180,17 @@ def test_split_box_matches_itertools(box, cuts):
 
 
 def test_grid_points_midpoints():
-    pts, vol = grid_points([[0.0, 1.0]], 4)
-    np.testing.assert_allclose(pts[:, 0], [0.125, 0.375, 0.625, 0.875])
-    assert vol == pytest.approx(0.25)
+    g = GridSpec([[0.0, 1.0]], 4)
+    np.testing.assert_allclose(g.points[:, 0], [0.125, 0.375, 0.625, 0.875])
+    assert g.cell_volume == pytest.approx(0.25)
     for box in ([[0.0, 1.0], [-2.0, 2.0]],
                 [[0.0, 1.0], [-2.0, 2.0], [3.0, 3.5]]):
-        pts, vol = grid_points(box, 5)
+        g = GridSpec(box, 5)
         axes = [lo + (hi - lo) / 5 * (np.arange(5) + 0.5) for lo, hi in box]
-        assert np.array_equal(pts, np.array(list(itertools.product(*axes))))
-        assert vol == pytest.approx(np.prod([(hi - lo) / 5 for lo, hi in box]))
+        assert np.array_equal(g.points,
+                              np.array(list(itertools.product(*axes))))
+        assert g.cell_volume == pytest.approx(
+            np.prod([(hi - lo) / 5 for lo, hi in box]))
 
 
 def test_grid_spec_per_axis_counts():
@@ -214,7 +216,7 @@ def test_grid_spec_rejects_invalid_counts(grid):
 
 
 def test_fourier_sum_blocks_rows(monkeypatch):
-    pts, _ = grid_points([[-3.0, 3.0], [-1.0, 2.0]], 9)
+    pts = GridSpec([[-3.0, 3.0], [-1.0, 2.0]], 9).points
     nodes, w = gauss_nodes_box([[-0.5, 0.5], [-0.25, 0.5]], 6)
     dense = np.exp(2j * np.pi * (pts @ nodes.T)) @ w
     blocks = []
@@ -338,7 +340,8 @@ def test_error_lp_grid_route_matches_point_route():
 
 
 def test_grid_lp_norm_matches_closed_form():
-    pts, vol = grid_points([[0.0, 1.0]], 4096)
+    grid_spec = GridSpec([[0.0, 1.0]], 4096)
+    pts, vol = grid_spec.points, grid_spec.cell_volume
     vals = pts[:, 0]
     # ||x||_2 on [0,1] is 1/sqrt(3); midpoint rule is second order
     assert grid_lp_norm(vals, vol, 2) == pytest.approx(1 / math.sqrt(3), rel=1e-6)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,8 @@ from quasiproj.functions import (TestFunction, band_bump, gaussian, hat_tensor,
                                  sinc_tensor)
 from quasiproj.generators import make_generator
 from quasiproj import quadrature
-from quasiproj.lattice import make_dilation
-from quasiproj.quadrature import GridSpec, fourier_sum, grid_points
+from quasiproj.lattice import make_dilation, map_box
+from quasiproj.quadrature import GridSpec, fourier_sum
 from quasiproj import quasiprojection
 from quasiproj.quasiprojection import (OperatorSpec, _spectrum_pts,
                                        alias_shifts, error_lp,
@@ -161,6 +163,57 @@ def test_alias_shifts_single_when_band_fits():
     assert [tuple(s) for s in shifts] == [(0,)]
 
 
+_QUINCUNX = [[1.0, 1.0], [1.0, -1.0]]
+
+
+def _sinc_dirac(dilation, level):
+    return OperatorSpec(make_generator("TensorSincPower", {"n": 1, "a": 1.0},
+                                       len(dilation)),
+                        make_analyzer("Dirac", len(dilation)),
+                        make_dilation(dilation), level)
+
+
+def _box_shifts(spec, f):
+    """Every integer shift in the bounding box of M*^{-j} (supp f^ - S),
+    including those whose box supp f^ - M*^j k misses S."""
+    S = spectrum_support(spec)
+    diff = np.stack([f.fourier_support[:, 0] - S[:, 1],
+                     f.fourier_support[:, 1] - S[:, 0]], axis=1)
+    back = map_box(np.linalg.inv(spec.dilation.adjoint_power(spec.level)),
+                   diff)
+    lo = np.ceil(back[:, 0] - 1e-12).astype(int)
+    hi = np.floor(back[:, 1] + 1e-12).astype(int)
+    return [np.array(k) for k in
+            itertools.product(*[range(a, b + 1) for a, b in zip(lo, hi)])]
+
+
+def test_alias_shifts_drop_shifts_that_miss_the_spectrum_box():
+    # the benchmark's sinc_quincunx_2d config: under quincunx the back-mapped
+    # box holds 441 shifts at level 1, and 221 of them reach S
+    f2 = gaussian(2)
+    specs = [_sinc_dirac(_QUINCUNX, level) for level in (1, 2)]
+    assert [len(_box_shifts(s, f2)) for s in specs] == [441, 121]
+    assert [len(alias_shifts(s, f2)) for s in specs] == [221, 121]
+    # the sinc_rates_1d config keeps every shift
+    f1 = gaussian(1)
+    specs = [_spec("TensorSincPower", {"n": 1, "a": 1.0}, "BoxAverage",
+                   level=level) for level in range(2, 7)]
+    assert [len(alias_shifts(s, f1)) for s in specs] == [5, 3, 3, 1, 1]
+    assert [len(_box_shifts(s, f1)) for s in specs] == [5, 3, 3, 1, 1]
+
+
+@pytest.mark.parametrize("dilation, level", [
+    (_QUINCUNX, 1), (_QUINCUNX, 2), ([[2.0, 0.0], [0.0, 3.0]], 1)])
+def test_alias_filter_keeps_evaluator_values(monkeypatch, dilation, level):
+    # a dropped shift samples f^ only beyond its declared box
+    spec, f = _sinc_dirac(dilation, level), gaussian(2)
+    g = GridSpec([[-3.0, 3.0]] * 2, 12)
+    got = spectral_evaluator(spec, f)(g)
+    monkeypatch.setattr(quasiprojection, "alias_shifts", _box_shifts)
+    want = spectral_evaluator(spec, f)(g)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 def test_spectral_matches_truncated_spatial_sum():
     spec = _spec("TensorSincPower", {"n": 1, "a": 1.0}, "Dirac")
     f = band_bump(0.4, 1)
@@ -287,6 +340,6 @@ def test_spectral_evaluator_2d():
     spec = _spec("TensorSincPower", {"n": 1, "a": 1.0}, "Dirac", dim=2)
     f = band_bump(0.3, 2)
     ev = spectral_evaluator(spec, f)
-    pts, _ = grid_points(np.array([[-2.0, 2.0], [-2.0, 2.0]]), 16)
+    pts = GridSpec(np.array([[-2.0, 2.0], [-2.0, 2.0]]), 16).points
     err = np.max(np.abs(ev(pts) - np.asarray(f.spatial(pts), dtype=complex)))
     assert err < 1e-8
