@@ -5,9 +5,11 @@ pairing of f with the rescaled functional, normalized so that the operator
 sum uses synthesis atoms m^{j/2} phi(M^j x + k).
 
 `analyze` is the one coefficient primitive.  It takes a single site or an
-(n, d) array of sites.  Point, average, mixed and kernel kinds pair in space:
-point kinds make one signal call over all sites, and integral kinds share one
-tensor Gauss rule per order and one convergence test across the sites.  The
+(n, d) array of sites.  Point, average, mixed and kernel kinds pair in space.
+Dirac and BoxAverage are the uniform cases of MixedTensor, whose per-axis
+tags `make_analyzer` sets, so one branch serves all three: point kinds make
+one signal call over all sites, and integral kinds share one tensor Gauss
+rule per order and one convergence test across the sites.  The
 derivative kinds are distributions, paired through the signal's spectrum:
 one converge-checked inverse transform onto the site box serves every site,
 under any dilation matrix.
@@ -21,8 +23,8 @@ import numpy as np
 from .errors import InvalidParams, UnsupportedInput, UnsupportedMatrix
 from .generators import Generator, as_int
 from .lattice import DilationMatrix, map_box
-from .quadrature import (MAX_BLOCK, GridSpec, converge, gauss_nodes_box,
-                         grid_inverse_fourier, split_box)
+from .quadrature import (MAX_BLOCK, GridSpec, as_points, converge,
+                         gauss_nodes_box, grid_inverse_fourier, split_box)
 from .functions import PROFILE_TOL, TestFunction
 
 KINDS = ("Dirac", "DiracDerivative", "BoxAverage", "MixedTensor", "KernelL1",
@@ -39,7 +41,9 @@ class AnalysisFunctional:
     kind: str
     dim: int
     beta: Optional[tuple] = None       # derivative multi-index
-    axes: Optional[tuple] = None       # per-axis tags for MixedTensor
+    # per-axis Dirac/BoxAverage tags: MixedTensor's own, and one tag on
+    # every axis for its uniform cases Dirac and BoxAverage
+    axes: Optional[tuple] = None
     kernel: Optional[Generator] = field(default=None, compare=False)
 
 
@@ -56,6 +60,8 @@ def make_analyzer(kind: str, dim: int = 1, beta=None, axes=None,
             raise InvalidParams(f"{kind} beta: {exc}") from None
         if len(beta) != dim or any(b < 0 for b in beta):
             raise InvalidParams(f"beta {beta} incompatible with dim {dim}")
+    if kind in ("Dirac", "BoxAverage"):
+        axes = (kind,) * dim
     if kind == "MixedTensor":
         axes = tuple(axes or ())
         if len(axes) != dim or any(a not in ("Dirac", "BoxAverage") for a in axes):
@@ -68,23 +74,18 @@ def make_analyzer(kind: str, dim: int = 1, beta=None, axes=None,
 
 def fourier_symbol(a: AnalysisFunctional, xi):
     """The transform of the analysis functional, vectorized over points."""
-    from .quadrature import as_points
     pts, scalar = as_points(xi, a.dim)
-    if a.kind == "Dirac":
-        vals = np.ones(pts.shape[0], dtype=complex)
-    elif a.kind == "BoxAverage":
-        vals = np.prod(np.sinc(pts), axis=-1).astype(complex)
-    elif a.kind == "DiracDerivative":
+    if a.kind == "DiracDerivative":
         vals = _monomial(pts, a.beta)
     elif a.kind == "DiracPlusDerivative":
         vals = 1.0 + _monomial(pts, a.beta)
-    elif a.kind == "MixedTensor":
+    elif a.kind == "KernelL1":
+        vals = np.asarray(a.kernel.fourier(pts), dtype=complex)
+    else:  # Dirac, BoxAverage and MixedTensor
         vals = np.ones(pts.shape[0], dtype=complex)
         for ax, tag in enumerate(a.axes):
             if tag == "BoxAverage":
                 vals = vals * np.sinc(pts[:, ax])
-    else:  # KernelL1
-        vals = np.asarray(a.kernel.fourier(pts), dtype=complex)
     return complex(vals[0]) if scalar else vals
 
 
@@ -139,8 +140,6 @@ def _pairings(f, a, M, j, sites):
         return M.det_abs ** j * _spectral_pairings(f, a, M, j, sites)
     Minv_j = M.power(-j)
     x = -(sites @ Minv_j.T)  # the sample points -M^{-j} k
-    if a.kind == "Dirac":
-        return np.asarray(f.spatial(x), dtype=complex)
     if a.kind == "KernelL1":
         # piecewise over half-integer knot cells: spline-type kernels are
         # smooth on each cell, so the doubling rule converges there
@@ -150,12 +149,10 @@ def _pairings(f, a, M, j, sites):
         axes = list(range(a.dim))
         return sum(_adaptive_box(f, Minv_j, sites, cell, axes, a.kernel)
                    for cell in split_box(supp, knots))
-    if a.kind == "BoxAverage":
-        avg = list(range(a.dim))
-    else:  # MixedTensor
-        avg = [i for i, tag in enumerate(a.axes) if tag == "BoxAverage"]
-        if not avg:
-            return np.asarray(f.spatial(x), dtype=complex)
+    # Dirac, BoxAverage and MixedTensor: average over the BoxAverage axes
+    avg = [i for i, tag in enumerate(a.axes) if tag == "BoxAverage"]
+    if not avg:
+        return np.asarray(f.spatial(x), dtype=complex)
     return _adaptive_box(f, Minv_j, sites, np.array([[-0.5, 0.5]] * len(avg)),
                          avg)
 

@@ -7,14 +7,20 @@ normalized so its value at the origin is 1.  Conventions used throughout:
 * sinc x = sin(pi x) / (pi x), whose transform is the indicator of
   [-1/2, 1/2],
 * the torus is identified with the box [-1/2, 1/2)^d.
+
+`make_generator` branches on the kind once and builds both evaluators:
+closed forms for the sinc powers and B-splines, and for the profile-only
+kinds the test signals' inverse-Fourier evaluator `functions.from_profile`.
 """
 
 import math
+import numbers
 
 import numpy as np
 
 from .errors import InvalidParams, QuadratureFailure
-from .quadrature import as_points, inverse_fourier
+from .functions import from_profile
+from .quadrature import as_points
 
 # kind -> its parameters and their defaults; a numeric default also sets the
 # type a value is cast to (an int one takes only integral values), None takes
@@ -27,8 +33,6 @@ PARAMS = {
     "FourierProfile": {"profile": None, "support": None, "decay": None},
 }
 KINDS = tuple(PARAMS)
-
-SPATIAL_TOL = 1e-10
 
 
 def bspline(n: int, t):
@@ -52,21 +56,22 @@ def bspline(n: int, t):
 class Generator:
     """A synthesis function phi with closed-form Fourier profile.
 
-    Spatial evaluation is closed-form where one exists (sinc powers,
-    B-splines) and adaptive inverse-Fourier quadrature otherwise, whose
-    orders depend only on the points asked for.  A generator holds no
-    mutable state, so its values do not depend on earlier calls and
-    evaluation is freely concurrent.
+    `make_generator` fixes the profile and the spatial evaluator once, as
+    callables on (n, d) point arrays.  A generator holds no mutable state,
+    so its values do not depend on earlier calls and evaluation is freely
+    concurrent.
     """
 
     def __init__(self, kind, params, dim, fourier_support, spatial_support,
-                 decay_rate):
+                 decay_rate, profile, spatial):
         self.kind = kind
         self.params = dict(params)
         self.dim = dim
         self.fourier_support = fourier_support
         self.spatial_support = spatial_support
         self.decay_rate = decay_rate
+        self._profile = profile
+        self._spatial = spatial
 
     def __repr__(self):
         ps = ", ".join(f"{k}={v}" for k, v in sorted(self.params.items())
@@ -77,59 +82,17 @@ class Generator:
     def band_limited(self) -> bool:
         return self.fourier_support is not None
 
-    # -- Fourier side -------------------------------------------------------
-
     def fourier(self, xi):
         """Profile value phi^(xi); vectorized over leading axes of xi."""
         pts, scalar = as_points(xi, self.dim)
-        vals = self._fourier_pts(pts)
+        vals = np.asarray(self._profile(pts), dtype=complex)
         return complex(vals[0]) if scalar else vals
-
-    def _fourier_pts(self, pts):
-        k = self.kind
-        if k == "TensorSincPower":
-            n, a = self.params["n"], self.params["a"]
-            b0 = bspline(n, 0.0)
-            return np.prod(bspline(n, a * pts) / b0, axis=-1).astype(complex)
-        if k == "BSplineTensor":
-            n = self.params["n"]
-            return np.prod(np.sinc(pts) ** n, axis=-1).astype(complex)
-        if k == "BochnerRiesz":
-            s, gamma = self.params["s"], self.params["gamma"]
-            r = 3.0 * np.sqrt(np.sum(pts ** 2, axis=-1))
-            return (np.maximum(1.0 - r ** s, 0.0) ** gamma).astype(complex)
-        if k == "RationalBandlimited":
-            inside = np.all(np.abs(pts) <= 0.5, axis=-1)
-            denom = np.prod(np.sinc(pts), axis=-1)
-            out = np.zeros(pts.shape[:-1], dtype=complex)
-            out[inside] = 1.0 / denom[inside]
-            return out
-        profile = self.params["profile"]
-        return np.asarray(profile(pts), dtype=complex)
-
-    # -- spatial side -------------------------------------------------------
 
     def spatial(self, x):
-        """phi(x); closed form if available, else inverse-Fourier quadrature."""
+        """phi(x); vectorized over leading axes of x."""
         pts, scalar = as_points(x, self.dim)
-        k = self.kind
-        if k == "TensorSincPower":
-            n, a = self.params["n"], self.params["a"]
-            c = (a * bspline(n, 0.0)) ** (-self.dim)
-            vals = (c * np.prod(np.sinc(pts / a) ** n, axis=-1)).astype(complex)
-        elif k == "BSplineTensor":
-            n = self.params["n"]
-            vals = np.prod(bspline(n, pts), axis=-1).astype(complex)
-        else:
-            vals = self._spatial_quadrature(pts)
+        vals = np.asarray(self._spatial(pts), dtype=complex)
         return complex(vals[0]) if scalar else vals
-
-    def _spatial_quadrature(self, pts):
-        if self.fourier_support is None:
-            raise QuadratureFailure(
-                f"{self.kind} has no Fourier support box to integrate over")
-        return inverse_fourier(self._fourier_pts, [self.fourier_support], pts,
-                               SPATIAL_TOL, 32)
 
 
 def make_generator(kind: str, params=None, dim: int = 1) -> Generator:
@@ -140,7 +103,8 @@ def make_generator(kind: str, params=None, dim: int = 1) -> Generator:
       BSplineTensor(n): tensor centered cardinal B-spline of order n;
       BochnerRiesz(s, gamma): phi^ = (1 - |3 xi|^s)_+^gamma;
       RationalBandlimited: phi^ = indicator of the torus / prod sinc;
-      FourierProfile: user profile with a declared support box or decay rate.
+      FourierProfile: user profile with a declared support box (dim finite
+        rows [lo, hi], lo < hi) or decay rate (a real number).
     """
     if kind not in PARAMS:
         raise InvalidParams(f"unknown generator kind {kind!r}; choose from {KINDS}")
@@ -149,15 +113,21 @@ def make_generator(kind: str, params=None, dim: int = 1) -> Generator:
         n, a = params["n"], params["a"]
         if n < 1 or a <= 0:
             raise InvalidParams(f"TensorSincPower needs n >= 1, a > 0, got n={n}, a={a}")
+        b0 = bspline(n, 0.0)
+        c = (a * b0) ** (-dim)
         half = n / (2.0 * a)
-        box = np.array([[-half, half]] * dim)
-        return Generator(kind, {"n": n, "a": a}, dim, box, None, float(n))
+        return Generator(
+            kind, params, dim, np.array([[-half, half]] * dim), None, float(n),
+            lambda xi: np.prod(bspline(n, a * xi) / b0, axis=-1),
+            lambda x: c * np.prod(np.sinc(x / a) ** n, axis=-1))
     if kind == "BSplineTensor":
         n = params["n"]
         if n < 1:
             raise InvalidParams(f"BSplineTensor needs n >= 1, got {n}")
-        supp = np.array([[-n / 2.0, n / 2.0]] * dim)
-        return Generator(kind, {"n": n}, dim, None, supp, None)
+        return Generator(kind, params, dim, None,
+                         np.array([[-n / 2.0, n / 2.0]] * dim), None,
+                         lambda xi: np.prod(np.sinc(xi) ** n, axis=-1),
+                         lambda x: np.prod(bspline(n, x), axis=-1))
     if kind == "BochnerRiesz":
         s, gamma = params["s"], params["gamma"]
         if s <= 0:
@@ -165,19 +135,62 @@ def make_generator(kind: str, params=None, dim: int = 1) -> Generator:
         if gamma <= (dim - 1) / 2.0:
             raise InvalidParams(
                 f"BochnerRiesz needs gamma > (d-1)/2 = {(dim - 1) / 2}, got {gamma}")
-        box = np.array([[-1.0 / 3.0, 1.0 / 3.0]] * dim)
-        return Generator(kind, {"s": s, "gamma": gamma}, dim, box, None,
+
+        def profile(xi):
+            r = 3.0 * np.sqrt(np.sum(xi ** 2, axis=-1))
+            return np.maximum(1.0 - r ** s, 0.0) ** gamma
+
+        return _profiled(kind, params, dim, profile,
+                         np.array([[-1.0 / 3.0, 1.0 / 3.0]] * dim),
                          gamma + (dim + 1) / 2.0)
     if kind == "RationalBandlimited":
-        box = np.array([[-0.5, 0.5]] * dim)
-        return Generator(kind, {}, dim, box, None, 1.0)
-    profile = params["profile"]  # FourierProfile
+
+        def profile(xi):
+            inside = np.all(np.abs(xi) <= 0.5, axis=-1)
+            denom = np.prod(np.sinc(xi), axis=-1)
+            out = np.zeros(xi.shape[:-1], dtype=complex)
+            out[inside] = 1.0 / denom[inside]
+            return out
+
+        return _profiled(kind, params, dim, profile,
+                         np.array([[-0.5, 0.5]] * dim), 1.0)
+    profile, support, decay = params["profile"], params["support"], params["decay"]
     if not callable(profile):
         raise InvalidParams("FourierProfile needs a callable 'profile'")
-    support = params["support"]
-    box = None if support is None else np.asarray(support, dtype=float)
-    return Generator(kind, {"profile": profile}, dim, box, None,
-                     params["decay"])
+    try:
+        box = None if support is None else as_box(support, dim)
+    except ValueError as exc:
+        raise InvalidParams(f"FourierProfile support {exc}") from None
+    if isinstance(decay, bool) or not isinstance(decay, (numbers.Real, type(None))):
+        raise InvalidParams(f"FourierProfile decay must be None or a real number, "
+                            f"got {decay!r}")
+    return _profiled(kind, {"profile": profile}, dim, profile, box, decay)
+
+
+def _profiled(kind, params, dim, profile, box, decay_rate):
+    """A profile-only Generator: phi is `from_profile`'s inverse transform of
+    the profile over its support box, which a FourierProfile may lack."""
+    if box is None:
+        def spatial(pts):
+            raise QuadratureFailure(
+                f"{kind} has no Fourier support box to integrate over")
+    else:
+        spatial = from_profile(kind, dim, profile, box).spatial
+    return Generator(kind, params, dim, box, None, decay_rate, profile, spatial)
+
+
+def as_box(value, dim):
+    """value as a (dim, 2) float array of finite rows [lo, hi] with lo < hi;
+    anything else is a ValueError."""
+    try:
+        box = np.array(value, dtype=float)
+    except (TypeError, ValueError):
+        box = None
+    if (box is None or box.shape != (dim, 2) or not np.all(np.isfinite(box))
+            or not np.all(box[:, 0] < box[:, 1])):
+        raise ValueError(f"must be {dim} rows of finite [lo, hi] with "
+                         f"lo < hi, got {value!r}")
+    return box
 
 
 def as_int(value) -> int:

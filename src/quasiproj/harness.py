@@ -19,7 +19,7 @@ from .conditions import condition_report, strict_compat_radius
 from .errors import (ConfigError, HypothesisViolated, InvalidParams,
                      NonPositiveValue, NotExpansive, Singular)
 from .functions import TestFunction
-from .generators import Generator, as_int, make_generator
+from .generators import Generator, as_box, as_int, make_generator
 from .lattice import MAX_DIM, DilationMatrix, make_dilation, map_box
 from .quadrature import GridSpec
 from .quasiprojection import (OperatorSpec, error_lp, evaluate_grid_compact,
@@ -183,14 +183,9 @@ def _flag(value) -> bool:
 def _box(value, dim):
     """experiment.box as dim rows of finite (lo, hi) with lo < hi."""
     try:
-        box = np.array(value, dtype=float)
-    except (TypeError, ValueError):
-        box = None
-    if (box is None or box.shape != (dim, 2) or not np.all(np.isfinite(box))
-            or not np.all(box[:, 0] < box[:, 1])):
-        raise ConfigError(f"experiment.box must be {dim} rows of finite "
-                          f"[lo, hi] with lo < hi, got {value!r}")
-    return tuple(tuple(row) for row in box.tolist())
+        return tuple(tuple(row) for row in as_box(value, dim).tolist())
+    except ValueError as exc:
+        raise ConfigError(f"experiment.box {exc}") from None
 
 
 def build_operator(cfg: ExperimentConfig, level: int) -> OperatorSpec:

@@ -275,3 +275,23 @@ def test_profile_signal_site_array_2d(monkeypatch, kind, sites):
     assert 0 < max(blocks) <= MAX_BLOCK
     single = np.array([analyze(f, a, M, 1, k) for k in sites])
     np.testing.assert_allclose(batch, single, rtol=0, atol=1e-12)
+
+
+
+_DILATIONS = {"2": [[2.0]], "2I": np.diag([2.0, 2.0]),
+              "quincunx": [[1.0, -1.0], [1.0, 1.0]]}
+
+
+@pytest.mark.parametrize("dim, dilation", [(1, "2"), (2, "2I"),
+                                           (2, "quincunx")])
+@pytest.mark.parametrize("tag", ["Dirac", "BoxAverage"])
+def test_uniform_kinds_are_mixed_tensor_cases(tag, dim, dilation):
+    a = make_analyzer(tag, dim)
+    mt = make_analyzer("MixedTensor", dim, axes=(tag,) * dim)
+    xi = np.linspace(-1.3, 1.3, 11)[:, None] + 0.1 * np.arange(dim)
+    assert np.array_equal(fourier_symbol(a, xi), fourier_symbol(mt, xi))
+    M = make_dilation(_DILATIONS[dilation])
+    sites = _site_cube([2] * dim)
+    assert np.array_equal(analyze(gaussian(dim), a, M, 1, sites),
+                          analyze(gaussian(dim), mt, M, 1, sites))
+    assert a.axes == mt.axes

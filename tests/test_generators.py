@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from quasiproj.errors import InvalidParams
+from quasiproj.errors import InvalidParams, QuadratureFailure
+from quasiproj.functions import from_profile
 from quasiproj.generators import bspline, make_generator
-from quasiproj.quadrature import integrate_box
+from quasiproj.quadrature import GridSpec, integrate_box
 
 
 def test_bspline_values_at_zero():
@@ -143,3 +144,87 @@ def test_quadrature_values_do_not_depend_on_call_history(kind, params):
     first = g.spatial(x)
     g.spatial(200.0)  # converges only at a higher order
     assert np.array_equal(g.spatial(x), first)
+
+
+def _points(dim):
+    """A few points in (n, dim), off and on the knots of the closed forms."""
+    t = np.linspace(-3.0, 3.0, 13)
+    return t[:, None] if dim == 1 else np.column_stack([t, 0.5 - t])
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("n, a", [(1, 1.0), (1, 4.0), (3, 1.0), (3, 4.0)])
+def test_sinc_power_closed_forms(n, a, dim):
+    g = make_generator("TensorSincPower", {"n": n, "a": a}, dim)
+    x, xi = _points(dim), _points(dim) / 4
+    b0 = bspline(n, 0.0)
+    fourier = np.prod(bspline(n, a * xi) / b0, axis=-1).astype(complex)
+    spatial = ((a * b0) ** (-dim)
+               * np.prod(np.sinc(x / a) ** n, axis=-1)).astype(complex)
+    assert np.array_equal(g.fourier(xi), fourier)
+    assert np.array_equal(g.spatial(x), spatial)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_bspline_tensor_closed_forms(n, dim):
+    g = make_generator("BSplineTensor", {"n": n}, dim)
+    x = _points(dim)
+    assert np.array_equal(g.fourier(x),
+                          np.prod(np.sinc(x) ** n, axis=-1).astype(complex))
+    assert np.array_equal(g.spatial(x),
+                          np.prod(bspline(n, x), axis=-1).astype(complex))
+
+
+def _rational(xi):
+    inside = np.all(np.abs(xi) <= 0.5, axis=-1)
+    out = np.zeros(xi.shape[:-1], dtype=complex)
+    out[inside] = 1.0 / np.prod(np.sinc(xi), axis=-1)[inside]
+    return out
+
+
+def _riesz(xi):  # s = 2, gamma = 1
+    r = 3.0 * np.sqrt(np.sum(xi ** 2, axis=-1))
+    return np.maximum(1.0 - r ** 2.0, 0.0) ** 1.0
+
+
+def _cos2(xi):
+    return np.prod(np.cos(np.pi * xi) ** 2, axis=-1)
+
+
+@pytest.mark.parametrize("kind, params, dim, profile, half", [
+    ("RationalBandlimited", {}, 1, _rational, 0.5),
+    ("RationalBandlimited", {}, 2, _rational, 0.5),
+    ("BochnerRiesz", {"s": 2.0, "gamma": 1.0}, 1, _riesz, 1.0 / 3.0),
+    ("FourierProfile", {"profile": _cos2, "support": [[-0.5, 0.5]]}, 1,
+     _cos2, 0.5),
+], ids=["rational-1d", "rational-2d", "riesz-1d", "profile-1d"])
+def test_profile_only_kinds_evaluate_through_from_profile(kind, params, dim,
+                                                          profile, half):
+    g = make_generator(kind, params, dim)
+    x = GridSpec([[-6.0, 6.0]] * dim, 64 if dim == 1 else 12).points
+    want = from_profile(kind, dim, profile,
+                        np.array([[-half, half]] * dim)).spatial(x)
+    assert np.array_equal(g.spatial(x), want)
+
+
+def test_bochner_riesz_2d_quadrature_fails_by_name():
+    # the radial kink on |xi| = 1/3 cuts through the tensor Gauss cells,
+    # so no order up to the 2-D cap meets the tolerance
+    g = make_generator("BochnerRiesz", {"s": 2.0, "gamma": 1.0}, 2)
+    with pytest.raises(QuadratureFailure, match="inverse Fourier quadrature"):
+        g.spatial(GridSpec([[-6.0, 6.0]] * 2, 12).points)
+
+
+@pytest.mark.parametrize("dim, params", [
+    (1, {"support": [[0.5, -0.5]]}),         # reversed: flips phi's sign
+    (1, {"support": [-0.5, 0.5]}),           # a flat list, not rows
+    (1, {"support": [[-0.5, np.inf]]}),      # not finite
+    (2, {"support": [[-0.5, 0.5]]}),         # one row for two axes
+    (1, {"decay": "x"}),
+    (1, {"decay": True}),
+], ids=["reversed", "flat", "infinite", "short", "decay-str", "decay-bool"])
+def test_fourier_profile_inputs_checked(dim, params):
+    name = "support" if "support" in params else "decay"
+    with pytest.raises(InvalidParams, match=name):
+        make_generator("FourierProfile", {"profile": _cos2, **params}, dim)
