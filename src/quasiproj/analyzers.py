@@ -11,8 +11,8 @@ tags `make_analyzer` sets, so one branch serves all three: point kinds make
 one signal call over all sites, and integral kinds share one tensor Gauss
 rule per order and one convergence test across the sites.  The
 derivative kinds are distributions, paired through the signal's spectrum:
-one converge-checked inverse transform onto the site box serves every site,
-under any dilation matrix.
+one `quadrature.transform` onto the site box serves every site, under any
+dilation matrix.
 """
 
 from dataclasses import dataclass, field
@@ -24,7 +24,7 @@ from .errors import InvalidParams, UnsupportedInput, UnsupportedMatrix
 from .generators import Generator, as_int
 from .lattice import DilationMatrix, map_box
 from .quadrature import (MAX_BLOCK, GridSpec, as_points, converge,
-                         gauss_nodes_box, grid_inverse_fourier, split_box)
+                         gauss_nodes_box, split_box, transform)
 from .functions import PROFILE_TOL, TestFunction
 
 KINDS = ("Dirac", "DiracDerivative", "BoxAverage", "MixedTensor", "KernelL1",
@@ -160,8 +160,8 @@ def _pairings(f, a, M, j, sites):
 def _spectral_pairings(f, a, M, j, sites):
     """integral of f^(M*^j eta) conj(phi~^(eta)) exp(-2 pi i k . eta) over
     the bounding box of M*^{-j} supp f^, for the rows k of sites: one
-    `grid_inverse_fourier` onto the unit-step grid of the points -k over the
-    sites' bounding box, each site read from it."""
+    `transform` onto the unit-step grid of the points -k over the sites'
+    bounding box, each site read from it."""
     if f.fourier is None or f.fourier_support is None:
         raise UnsupportedInput(f"{a.kind} coefficients are a transform of the "
                                f"signal's compact Fourier profile, which "
@@ -177,9 +177,8 @@ def _spectral_pairings(f, a, M, j, sites):
         return (np.asarray(f.fourier(eta @ Mj.T), dtype=complex)
                 * np.conj(fourier_symbol(a, eta)))
 
-    vals = grid_inverse_fourier(profile,
-                                map_box(np.linalg.inv(Mj), f.fourier_support),
-                                target, PROFILE_TOL, "coefficient transform")
+    vals = transform(profile, [map_box(np.linalg.inv(Mj), f.fourier_support)],
+                     target, PROFILE_TOL, "coefficient transform")
     return vals[np.ravel_multi_index((hi - sites).astype(int).T,
                                      target.counts)]
 

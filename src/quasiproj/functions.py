@@ -5,9 +5,9 @@ Fourier profile with a declared support box.  The box is what the spectral
 paths, derivative coefficients and best-approximation integrals rely on, so
 profiles without genuine compact support (the Gaussian) declare a truncation
 box whose discarded mass is below 1e-30.
-Signals built from a profile alone evaluate by `quadrature.inverse_fourier`,
-whose orders depend only on the points asked for, so a value does not depend
-on earlier calls.
+Signals built from a profile alone evaluate by `quadrature.transform` onto
+the points asked for, whose orders depend only on those points, so a value
+does not depend on earlier calls.
 """
 
 from dataclasses import dataclass
@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InvalidParams
-from .quadrature import as_points, inverse_fourier, split_box
+from .quadrature import as_points, split_box, transform
 
 
 @dataclass
@@ -42,16 +42,16 @@ PROFILE_TOL = 1e-12  # absolute tolerance of the profile-backed evaluators
 def from_profile(name, dim, profile, support, cuts=None):
     """Build a TestFunction from a compactly supported Fourier profile.
 
-    The spatial evaluator is adaptive inverse-Fourier quadrature of the
-    profile over its support box, cut per axis at the kinks cuts[axis]
-    (`split_box`), where cutting restores spectral convergence (a radial
-    power |xi|^s at 0, say).
+    The spatial evaluator is `transform` of the profile over its support
+    box, cut per axis at the kinks cuts[axis] (`split_box`), where cutting
+    restores spectral convergence (a radial power |xi|^s at 0, say).
     """
     support = np.asarray(support, dtype=float)
     boxes = [support] if cuts is None else split_box(support, cuts)
 
     def spatial(pts):
-        return inverse_fourier(profile, boxes, pts, PROFILE_TOL, 64)
+        return transform(profile, boxes, pts, PROFILE_TOL,
+                         "inverse Fourier quadrature")
 
     return TestFunction(name=name, dim=dim, spatial=spatial, fourier=profile,
                         fourier_support=support)

@@ -5,10 +5,9 @@ so repeated runs are bit-identical.  Every adaptive rule goes through one
 doubling check, `converge`, whose orders depend only on its arguments, so a
 value never depends on earlier calls.
 
-Inverse-Fourier sums have two forms: `fourier_sum` at arbitrary points, and
-`grid_fourier_sum` from the nodes of one midpoint grid (`GridSpec`) to the
-points of another, axis by axis.  `grid_inverse_fourier` is the
-converge-checked transform of a profile onto a grid through the latter.
+`transform` is the one inverse Fourier transform of a profile: Gauss rules
+on cells of its support, summed by `fourier_sum` at arbitrary points or by
+`grid_fourier_sum` onto a midpoint grid (`GridSpec`), axis by axis.
 """
 
 from dataclasses import dataclass, field
@@ -23,8 +22,6 @@ from .errors import InvalidParams, QuadratureFailure
 
 # largest rows x nodes block a vectorized sum builds at once
 MAX_BLOCK = 4_000_000
-NODE_START = 64          # grid_inverse_fourier nodes per axis: first order,
-NODE_LOG2_CAP = 22       # doubled up to the largest power of two n, n^d <= 2^22
 
 
 # typed: 2.0 or True must not hit the cached rule of 2 or 1
@@ -81,14 +78,19 @@ def gauss_nodes_box(box, order: int):
 
     box: array-like of shape (d, 2).  Returns (nodes (n, d), weights (n,)).
     """
-    box = np.asarray(box, dtype=float)
+    axes, weights = _gauss_axes(box, order)
+    return _tensor_points(axes), weights
+
+
+def _gauss_axes(box, order: int):
+    """The Gauss-Legendre coordinates per axis of a box (d, 2) and the
+    tensor weights (order^d,), in row-major order."""
     x, w = leggauss(order)
     axes, wts = [], []
-    for lo, hi in box:
+    for lo, hi in np.asarray(box, dtype=float):
         axes.append(0.5 * (hi - lo) * x + 0.5 * (hi + lo))
         wts.append(0.5 * (hi - lo) * w)
-    weights = reduce(np.multiply.outer, wts).ravel()
-    return _tensor_points(axes), weights
+    return axes, reduce(np.multiply.outer, wts).ravel()
 
 
 def converge(evaluate, start, cap, tol, what):
@@ -129,24 +131,36 @@ def integrate_box(func, box, tol=1e-10, start_order=16, max_order=1024):
     return converge(at, start_order, max_order, tol, "box integral")
 
 
-def inverse_fourier(profile, boxes, pts, tol, start):
-    """Inverse Fourier transform of `profile` at the rows x of pts (n, d):
-    the sum over `boxes` of integral profile(xi) exp(2 pi i x . xi) dxi.
+def transform(profile, cells, target, tol, what):
+    """The sum over the boxes `cells` of integral profile(xi) exp(2 pi i x.xi)
+    dxi at the rows x of target (n, d), or row-major at the points of a
+    `GridSpec` target.
 
-    Each order takes one tensor Gauss rule per box, summed by `fourier_sum`;
-    orders double from `start` through `converge`, up to 4096 in 1-D and
-    128 per axis otherwise."""
-    cap = 4096 if len(boxes[0]) == 1 else 128
+    Each order takes a tensor Gauss rule per cell; `converge` doubles it from
+    64 to within tol, up to 4096 in 1-D, 256 per axis in 2-D and 128 per axis
+    otherwise, and names `what` at the cap.  Onto points the sum is
+    `fourier_sum`.  Onto a grid each cell is first split evenly per axis
+    into parts that span at most 16 turns of the phase over the grid's box,
+    and the sum is `grid_fourier_sum`."""
+    on_grid = isinstance(target, GridSpec)
+    if on_grid:
+        reach = np.max(np.abs(target.box), axis=1)
+        cells = [part for cell in cells for part in split_box(cell, [
+            np.linspace(lo, hi, math.ceil((hi - lo) * r / 16) + 1)[1:-1]
+            for (lo, hi), r in zip(cell, reach)])]
 
     def at(order):
         vals = 0.0
-        for box in boxes:
-            nodes, w = gauss_nodes_box(box, order)
-            vals = vals + fourier_sum(
-                pts, nodes, np.asarray(profile(nodes), dtype=complex) * w)
+        for cell in cells:
+            axes, w = _gauss_axes(cell, order)
+            nodes = _tensor_points(axes)
+            w = np.asarray(profile(nodes), dtype=complex) * w
+            vals = vals + (grid_fourier_sum(target, axes, w) if on_grid
+                           else fourier_sum(target, nodes, w))
         return vals
 
-    return converge(at, start, cap, tol, "inverse Fourier quadrature")
+    return converge(at, 64, (4096, 256, 128)[min(len(cells[0]), 3) - 1], tol,
+                    what)
 
 
 def split_box(box, cuts):
@@ -218,46 +232,25 @@ class GridSpec:
         return math.prod(self.steps)
 
 
-def grid_fourier_sum(grid: GridSpec, nodes: GridSpec, weights):
-    """`fourier_sum(grid.points, nodes.points, weights)` for weights (N,) on
-    the nodes in row-major order, as a product of one sum per axis.
+def grid_fourier_sum(grid: GridSpec, axes, weights):
+    """`fourier_sum(grid.points, nodes, weights)` for the tensor nodes over
+    the per-axis coordinates `axes` and weights (N,) on them in row-major
+    order, as a product of one sum per axis.
 
     An axis whose points x0 + h m and nodes xi0 + dxi n are exact arithmetic
     progressions with h dxi = P / K exactly, K a power of two at most
     MAX_BLOCK, is one length-K FFT: exp(2 pi i P m n / K) depends only on
     n mod K and P m mod K, and the remaining phases are reduced to turns
     exactly (`_turns`).  Any other axis is a dense `fourier_sum`."""
-    d = len(nodes.axes)
-    if len(grid.axes) != d:
-        raise ValueError(f"grid has {len(grid.axes)} axes, nodes have {d}")
-    w = np.asarray(weights, dtype=complex).reshape(nodes.counts)
-    for k, (x, xi) in enumerate(zip(grid.axes, nodes.axes)):
+    if len(grid.axes) != len(axes):
+        raise ValueError(f"grid has {len(grid.axes)} axes, nodes {len(axes)}")
+    w = np.asarray(weights, dtype=complex).reshape([len(xi) for xi in axes])
+    for k, (x, xi) in enumerate(zip(grid.axes, axes)):
         w = np.moveaxis(w, k, 0)
         rest = w.shape[1:]
         w = _axis_sum(x, xi, w.reshape(len(xi), -1) if rest else w)
         w = np.moveaxis(w.reshape((len(x),) + rest), 0, k)
     return w.ravel()
-
-
-def grid_inverse_fourier(profile, support, target, tol, what):
-    """integral over the box `support` of profile(xi) exp(2 pi i x . xi) dxi
-    at the points x of the `GridSpec` target, in row-major order.
-
-    The profile is sampled on the midpoints `GridSpec(support, n)`, times
-    the cell volume, and summed onto the target by `grid_fourier_sum`;
-    `converge` doubles n from NODE_START to within tol, up to
-    2^(NODE_LOG2_CAP // d) nodes per axis, and names `what` at the cap.
-    Midpoint sums converge spectrally only for profiles that are smooth on
-    the box and flat to every order at its edges."""
-
-    def at(n):
-        nodes = GridSpec(support, n)
-        weights = (np.asarray(profile(nodes.points), dtype=complex)
-                   * nodes.cell_volume)
-        return grid_fourier_sum(target, nodes, weights)
-
-    return converge(at, NODE_START, 2 ** (NODE_LOG2_CAP // len(support)),
-                    tol, what)
 
 
 def _axis_sum(x, xi, w):

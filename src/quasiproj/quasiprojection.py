@@ -196,7 +196,7 @@ def spectral_evaluator(spec: OperatorSpec, f: TestFunction):
         if isinstance(x, GridSpec):
             if nodes is None:
                 return np.zeros(math.prod(x.counts), dtype=complex)
-            return grid_fourier_sum(x, nodes, weights)
+            return grid_fourier_sum(x, nodes.axes, weights)
         pts, scalar = as_points(x, spec.dim)
         out = (np.zeros(pts.shape[0], dtype=complex) if nodes is None
                else fourier_sum(pts, nodes.points, weights))

@@ -20,8 +20,8 @@ from .errors import InvalidParams, UnsupportedInput
 from .functions import PROFILE_TOL, TestFunction, from_profile
 from . import quadrature
 from .lattice import map_box
-from .quadrature import (GridSpec, gauss_nodes_box, grid_inverse_fourier,
-                         grid_lp_norm)
+from .quadrature import (GridSpec, gauss_nodes_box, grid_lp_norm, split_box,
+                         transform)
 
 DIRECTIONS = 16          # angular directions of the step net in 2-D
 RADII = 6                # radius ladder 1 - 2^-i, i = 1..RADII
@@ -186,7 +186,8 @@ def best_approx(f: TestFunction, A, p, box, grid: int) -> float:
     Other p: the upper bound ||f - N_A f||_p(box), N_A a de la Vallee Poussin
     type smoothing within an absolute constant of the infimum: the residual
     profile (1 - eta(A*^{-1} xi)) f^(xi) over the support, transformed onto
-    GridSpec(box, grid) by `grid_inverse_fourier` to within PROFILE_TOL.
+    GridSpec(box, grid) by `transform` to within PROFILE_TOL, on the
+    support cut per axis at the ends of A* [-1/2, 1/2]^d and A* [-1, 1]^d.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     if f.fourier is None or f.fourier_support is None:
@@ -203,8 +204,9 @@ def best_approx(f: TestFunction, A, p, box, grid: int) -> float:
         return (1.0 - eta_profile(xi @ Astar_inv.T)) * \
             np.asarray(f.fourier(xi), dtype=complex)
 
-    vals = grid_inverse_fourier(resid, f.fourier_support, target, PROFILE_TOL,
-                                "best approximation")
+    cells = split_box(f.fourier_support,
+                      np.hstack([band, map_box(A.T, [[-1.0, 1.0]] * d)]))
+    vals = transform(resid, cells, target, PROFILE_TOL, "best approximation")
     return grid_lp_norm(vals, target.cell_volume, p)
 
 

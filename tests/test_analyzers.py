@@ -5,9 +5,9 @@ import pytest
 
 from quasiproj.analyzers import (alpha_bound, analyze, fourier_symbol,
                                  make_analyzer)
-from quasiproj.errors import (InvalidParams, QuadratureFailure,
-                              UnsupportedInput, UnsupportedMatrix)
-from quasiproj.functions import band_bump, gaussian, hat_tensor
+from quasiproj.errors import (InvalidParams, UnsupportedInput,
+                              UnsupportedMatrix)
+from quasiproj.functions import band_bump, gaussian, hat_tensor, sinc_tensor
 from quasiproj.generators import make_generator
 from quasiproj.lattice import make_dilation
 from quasiproj.quadrature import MAX_BLOCK, integrate_box
@@ -103,13 +103,13 @@ def test_derivative_needs_compact_profile():
         analyze(f, d, M, 0, np.array([0]))
 
 
-def test_derivative_transform_3d_raises_at_node_cap():
-    # the gaussian's box [-9, 9]^3 needs more than the 3-D cap of 128 nodes
-    # per axis before two orders agree
+def test_derivative_transform_3d_matches_gaussian_chain_rule():
+    # 2I_3, level 1: the coefficient is -(1/2) (d_1 f)(-k/2), times 2^{-3/2}
     M = make_dilation(np.diag([2.0] * 3))
     d = make_analyzer("DiracDerivative", 3, beta=(1, 0, 0))
-    with pytest.raises(QuadratureFailure, match="coefficient transform"):
-        analyze(gaussian(3), d, M, 1, _site_cube([2, 2, 2]))
+    sites = _site_cube([2, 2, 2])
+    want = -0.5 * _gaussian_partial((1, 0, 0), -sites / 2) * 2 ** -1.5
+    _assert_close_to_largest(analyze(gaussian(3), d, M, 1, sites), want)
 
 
 def _site_cube(radii):
@@ -162,6 +162,22 @@ def test_derivative_coefficients_match_gaussian_chain_rule(entries, levels,
             want = want + _gaussian_partial((0,) * M.dim, x)
         got = analyze(gaussian(M.dim), a, M, j, sites)
         _assert_close_to_largest(got, M.det_abs ** (-j / 2) * want)
+
+
+@pytest.mark.parametrize("j", [0, 2])
+def test_sinc_derivative_coefficients_match_closed_form(j):
+    # the profile is the indicator of [-1/2, 1/2]; the coefficient is
+    # -2^{-j} sinc'(-2^{-j} k), times 2^{-j/2}
+    k = np.arange(-5.0, 6.0)
+    x = -k * 2.0 ** -j
+    safe = np.where(x == 0, 1.0, x)
+    px = np.pi * safe
+    sinc_prime = np.where(x == 0, 0.0,
+                          (px * np.cos(px) - np.sin(px)) / (px * safe))
+    a = make_analyzer("DiracDerivative", 1, beta=(1,))
+    got = analyze(sinc_tensor(1), a, make_dilation([2.0]), j, k[:, None])
+    want = -(2.0 ** (-1.5 * j)) * sinc_prime
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
 
 def test_derivative_coefficients_under_quincunx():

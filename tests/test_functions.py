@@ -6,7 +6,7 @@ import pytest
 from quasiproj.errors import InvalidParams
 from quasiproj.functions import (band_bump, gaussian, get, hat_tensor,
                                  sinc_tensor, translate)
-from quasiproj.quadrature import integrate_box, inverse_fourier
+from quasiproj.quadrature import integrate_box, transform
 from quasiproj.smoothness import fractional_laplacian
 
 
@@ -14,7 +14,8 @@ def _assert_matches_profile(f):
     """The spatial evaluator against the inverse transform of the profile
     over its support box, at fixed probe points."""
     pts = np.linspace(-2.0, 2.0, 21)[:, None]
-    want = inverse_fourier(f.fourier, [f.fourier_support], pts, 1e-10, 64)
+    want = transform(f.fourier, [f.fourier_support], pts, 1e-10,
+                     "reference")
     assert np.max(np.abs(f.spatial(pts) - want)) <= 1e-8
 
 
@@ -43,6 +44,16 @@ def test_band_bump_value_is_profile_integral():
     want = integrate_box(lambda p: np.exp(1 - 1 / (1 - (p[:, 0] / 0.4) ** 2)),
                          [[-0.4 + 1e-12, 0.4 - 1e-12]], tol=1e-12)
     assert complex(f(0.0)).real == pytest.approx(want, rel=1e-9)
+
+
+def test_band_bump_2d_far_field_is_tensor_product():
+    # the profile is a tensor product, so f2(x, 0) = f1(x) f1(0); at x = 16
+    # and 24 the 2-D transform needs order 256 per axis
+    f1, f2 = band_bump(0.4, 1), band_bump(0.4, 2)
+    x = np.array([16.0, 24.0])
+    want = f1.spatial(x[:, None]) * f1.spatial(np.zeros((1, 1)))
+    got = f2.spatial(np.column_stack([x, np.zeros(2)]))
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
 
 
 def test_hat_tensor_values_and_transform():

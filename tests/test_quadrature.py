@@ -259,7 +259,7 @@ def test_grid_fourier_sum_dirichlet_kernel():
     for grid, nodes in ((GridSpec([[-3.0, 3.0]], 64), GridSpec([[-2.0, 2.0]], 128)),
                         (GridSpec([[-3.0, 3.0], [-1.0, 1.0]], 16),
                          GridSpec([[-2.0, 2.0], [-0.5, 0.5]], 32))):
-        got = grid_fourier_sum(grid, nodes, np.ones(nodes.points.shape[0]))
+        got = grid_fourier_sum(grid, nodes.axes, np.ones(nodes.points.shape[0]))
         want = 1.0
         for x, (lo, hi) in zip(grid.points.T, nodes.box):
             d = (hi - lo) / nodes.grid
@@ -290,7 +290,7 @@ def test_grid_fourier_sum_matches_fourier_sum(monkeypatch, grid, nodes, lengths)
     grid, nodes = GridSpec(*grid), GridSpec(*nodes)
     w = _gaussian_weights(nodes)
     calls = _fft_lengths(monkeypatch)
-    got = grid_fourier_sum(grid, nodes, w)
+    got = grid_fourier_sum(grid, nodes.axes, w)
     assert [n for n, _ in calls] == lengths
     want = fourier_sum(grid.points, nodes.points, w)
     np.testing.assert_allclose(got, want, rtol=0,
@@ -302,7 +302,7 @@ def test_grid_fourier_sum_blocks(monkeypatch):
     grid = GridSpec([[-4.0, 4.0], [-6.0, 6.0]], 48)
     nodes = GridSpec([[-1.0, 1.0], [-2.0, 2.0]], 64)
     w = _gaussian_weights(nodes)
-    want = grid_fourier_sum(grid, nodes, w)
+    want = grid_fourier_sum(grid, nodes.axes, w)
     phases = []
     exp = np.exp
 
@@ -313,14 +313,14 @@ def test_grid_fourier_sum_blocks(monkeypatch):
     monkeypatch.setattr(quadrature, "MAX_BLOCK", 1024)
     monkeypatch.setattr(np, "exp", spy)
     calls = _fft_lengths(monkeypatch)
-    got = grid_fourier_sum(grid, nodes, w)
+    got = grid_fourier_sum(grid, nodes.axes, w)
     assert max(phases) == 1024 and calls == [(64, 16)] * 3
     np.testing.assert_array_equal(got, want)
     # h dxi = 1/2048 and K > MAX_BLOCK: that axis is a dense sum too
     monkeypatch.setattr(quadrature, "MAX_BLOCK", 1000)
     del calls[:], phases[:]
     grid = GridSpec([[-0.5, 0.5], [-8.0, 8.0]], 64)
-    got = grid_fourier_sum(grid, nodes, w)
+    got = grid_fourier_sum(grid, nodes.axes, w)
     assert {n for n, _ in calls} == {64} and max(phases) <= 1000
     np.testing.assert_allclose(got, fourier_sum(grid.points, nodes.points, w),
                                rtol=0, atol=1e-13 * np.max(np.abs(got)))

@@ -9,8 +9,8 @@ from quasiproj.functions import (TestFunction, band_bump, gaussian, hat_tensor,
                                  translate)
 from quasiproj import quadrature
 from quasiproj.generators import make_generator
-from quasiproj.quadrature import (GridSpec, grid_lp_norm, inverse_fourier,
-                                  split_box)
+from quasiproj.quadrature import (GridSpec, fourier_sum, gauss_nodes_box,
+                                  grid_lp_norm, split_box, transform)
 from quasiproj.quasiprojection import error_lp
 from quasiproj import smoothness
 from quasiproj.smoothness import (ModulusSpec, best_approx, besov_partial_norm,
@@ -295,11 +295,37 @@ def test_best_approx_off_parseval_matches_cut_cell_reference(A, p, approx):
 
     grid_spec = GridSpec(BOX, 1024)
     pts, vol = grid_spec.points, grid_spec.cell_volume
-    want = grid_lp_norm(inverse_fourier(resid, cells, pts, 1e-11 * approx, 64),
-                        vol, p)
+    want = grid_lp_norm(transform(resid, cells, pts, 1e-11 * approx,
+                                  "reference"), vol, p)
     got = best_approx(f, np.array([[A]]), p, BOX, 1024)
     assert want == pytest.approx(approx, rel=1e-4)
     assert abs(got - want) <= 1e-9 * want
+
+
+def test_best_approx_2d_off_parseval_matches_tensor_reference():
+    # under A = 1.5 I the residual profile is g(xi1) g(xi2) (1 - e(xi1)
+    # e(xi2)), with g the 1-D gaussian and e the cutoff's axis factor, so its
+    # transform is G(x1) G(x2) - H(x1) H(x2); G and H come from an order-512
+    # Gauss rule on the axis cut at the cutoff's switch points
+    A = 1.5
+    axis = GridSpec([[-4.0, 4.0]], 64)
+    cells = split_box([[-9.0, 9.0]], [[-A, -A / 2, A / 2, A]])
+
+    def axis_transform(profile):
+        total = 0.0
+        for cell in cells:
+            nodes, w = gauss_nodes_box(cell, 512)
+            total = total + fourier_sum(axis.points, nodes, profile(nodes) * w)
+        return total
+
+    G = axis_transform(lambda xi: np.exp(-np.pi * xi[:, 0] ** 2))
+    H = axis_transform(lambda xi: eta_profile(xi / A)
+                       * np.exp(-np.pi * xi[:, 0] ** 2))
+    want = grid_lp_norm(np.outer(G, G) - np.outer(H, H),
+                        axis.cell_volume ** 2, 1)
+    got = best_approx(gaussian(2), A * np.eye(2), 1, [[-4.0, 4.0]] * 2, 64)
+    assert want == pytest.approx(2.2102531e-02, rel=1e-7)
+    assert abs(got - want) <= 1e-12 * want
 
 
 def test_best_approx_p1_2d_builds_bounded_phase_blocks(monkeypatch):
