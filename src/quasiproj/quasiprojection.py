@@ -7,10 +7,11 @@ by the generator's support, with the coefficients from one batched
 `evaluate_grid_compact` is that sum, for compactly supported generators,
 over a window that holds every atom reaching the point.  The spectral route
 handles band-limited data exactly: the transform of the operator output is
-assembled from finitely many lattice aliases of the signal's profile, on
-the nodes of its support box that a shifted signal box reaches, and its
-callable evaluates either at arbitrary points or, handed a `GridSpec`, on
-that grid axis by axis.
+assembled in one pass from finitely many lattice aliases of the signal's
+profile: the nodes of its support box that a shifted signal box reaches
+are cut once, and one profile call and one symbol call cover them for
+every shift.  Its callable evaluates either at arbitrary points or, handed
+a `GridSpec`, on that grid axis by axis.
 """
 
 from dataclasses import dataclass
@@ -158,27 +159,17 @@ def alias_shifts(spec: OperatorSpec, f: TestFunction):
     return list(ks[keep])
 
 
-def _spectrum_pts(spec, f, pts, shifts):
-    Aj = spec.dilation.adjoint_power(spec.level)
-    Aj_inv = np.linalg.inv(Aj)
-    base = pts @ Aj_inv.T
-    acc = np.zeros(pts.shape[0], dtype=complex)
-    for k in shifts:
-        fhat = np.asarray(f.fourier(pts + Aj @ k), dtype=complex)
-        sym = np.asarray(fourier_symbol(spec.analyzer, base + k), dtype=complex)
-        acc += fhat * np.conj(sym)
-    phihat = np.asarray(spec.generator.fourier(base), dtype=complex)
-    return phihat * acc
-
-
 def spectral_evaluator(spec: OperatorSpec, f: TestFunction):
-    """Spatial evaluator for Q_j f by quadrature of its spectrum.
+    """Spatial evaluator for Q_j f by quadrature of its spectrum, in one pass.
 
-    The spectrum is sampled once on the node window (`_node_window`) of a
-    midpoint grid over its support box.  The returned callable takes a
-    `GridSpec`, summed per axis by `grid_fourier_sum`, or points (n, d),
-    summed by the blocked `fourier_sum`, and returns the complex values
-    (row-major on a grid).  With no alias shift it returns zeros.
+    The spectrum is sampled on the cells of a midpoint grid over its support
+    box S that some shifted box supp f^ - M*^j k reaches; elsewhere the grid
+    would sample f^ only beyond its declared box.  One profile call of the
+    signal and one `fourier_symbol` call cover the nodes stacked once per
+    shift, and the terms add in `alias_shifts` order.  The returned callable
+    takes a `GridSpec`, summed per axis by `grid_fourier_sum`, or points
+    (n, d), summed by the blocked `fourier_sum`, and returns the complex
+    values (row-major on a grid).  With no alias shift it returns zeros.
     """
     S = spectrum_support(spec)
     width = float(np.max(S[:, 1] - S[:, 0]))
@@ -186,11 +177,34 @@ def spectral_evaluator(spec: OperatorSpec, f: TestFunction):
         nodes_per_axis = int(min(32768, max(4096, 512 * width)))
     else:
         nodes_per_axis = int(min(512, max(128, 16 * width)))
-    shifts = alias_shifts(spec, f)
-    nodes = _node_window(spec, f, GridSpec(S, nodes_per_axis), shifts)
+    shifts = np.array(alias_shifts(spec, f), dtype=int).reshape(-1, spec.dim)
+    Aj = spec.dilation.adjoint_power(spec.level)
+    moved = shifts @ Aj.T
+    nodes = None
+    if len(shifts):
+        # per axis the hull of the shifted boxes (a shift does not rotate
+        # them) cut to S, in whole cells, so the midpoints are the grid's
+        h = (S[:, 1] - S[:, 0]) / nodes_per_axis
+        lo = np.maximum(f.fourier_support[:, 0] - moved.max(axis=0), S[:, 0])
+        hi = np.minimum(f.fourier_support[:, 1] - moved.min(axis=0), S[:, 1])
+        first = np.clip(np.floor((lo - S[:, 0]) / h), 0, nodes_per_axis)
+        last = np.clip(np.ceil((hi - S[:, 0]) / h), 0, nodes_per_axis)
+        if np.all(last > first):
+            nodes = GridSpec(S[:, :1] + np.column_stack([first, last])
+                             * h[:, None], tuple((last - first).astype(int)))
     if nodes is not None:
-        weights = (_spectrum_pts(spec, f, nodes.points, shifts)
-                   * nodes.cell_volume)
+        pts = nodes.points
+        base = pts @ np.linalg.inv(Aj).T
+        stack = (len(shifts), len(pts))
+        fhat = np.asarray(f.fourier((pts + moved[:, None]).reshape(
+            -1, spec.dim))).reshape(stack)
+        sym = fourier_symbol(spec.analyzer, (base + shifts[:, None]).reshape(
+            -1, spec.dim)).reshape(stack)
+        acc = np.zeros(len(pts), dtype=complex)
+        for fk, sk in zip(fhat, sym):
+            acc += fk * np.conj(sk)
+        weights = (np.asarray(spec.generator.fourier(base), dtype=complex)
+                   * acc * nodes.cell_volume)
 
     def evaluator(x):
         if isinstance(x, GridSpec):
@@ -203,30 +217,6 @@ def spectral_evaluator(spec: OperatorSpec, f: TestFunction):
         return complex(out[0]) if scalar else out
 
     return evaluator
-
-
-def _node_window(spec, f, full: GridSpec, shifts):
-    """The cells of `full`, a midpoint grid over the spectrum box S, where
-    the spectrum of Q_j f can be nonzero, as a `GridSpec` with the same
-    midpoints (bit for bit when full's arithmetic is exact), or None.
-
-    The term of shift k is nonzero only on supp f^ - M*^j k, a box, since a
-    shift does not rotate it; per axis the window is the hull of those boxes
-    cut to S, widened to whole cells of `full`.  Outside it `full` samples
-    f^ only beyond its declared box: exactly 0, or below the signal's stated
-    truncation."""
-    if not shifts:
-        return None
-    S, h = full.box, np.array(full.steps)
-    moved = np.array(shifts) @ spec.dilation.adjoint_power(spec.level).T
-    lo = np.maximum(f.fourier_support[:, 0] - moved.max(axis=0), S[:, 0])
-    hi = np.minimum(f.fourier_support[:, 1] - moved.min(axis=0), S[:, 1])
-    first = np.clip(np.floor((lo - S[:, 0]) / h), 0, full.counts)
-    last = np.clip(np.ceil((hi - S[:, 0]) / h), 0, full.counts)
-    if np.any(last <= first):
-        return None
-    return GridSpec(np.column_stack([S[:, 0] + first * h, S[:, 0] + last * h]),
-                    tuple((last - first).astype(int)))
 
 
 # -- error norms ------------------------------------------------------------

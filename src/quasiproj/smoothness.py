@@ -123,6 +123,7 @@ def step_net(spec: ModulusSpec):
 def modulus(f: TestFunction, spec: ModulusSpec, box, grid: int) -> ModulusResult:
     """Sampled anisotropic modulus: max over the step net of the grid L_p
     norm of the order-s difference.  A lower estimate of the exact sup."""
+    _check_shapes(f, spec.matrix, box)
     g = GridSpec(box, grid)
     net = step_net(spec)
     s = spec.order
@@ -188,8 +189,11 @@ def best_approx(f: TestFunction, A, p, box, grid: int) -> float:
     profile (1 - eta(A*^{-1} xi)) f^(xi) over the support, transformed onto
     GridSpec(box, grid) by `transform` to within PROFILE_TOL, on the
     support cut per axis at the ends of A* [-1/2, 1/2]^d and A* [-1, 1]^d.
+    A cell that A*^{-1} maps into [-1/2, 1/2]^d, where eta is 1, adds
+    exactly 0 and is dropped.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
+    _check_shapes(f, A, box)
     if f.fourier is None or f.fourier_support is None:
         raise UnsupportedInput(
             f"{f.name} needs a Fourier profile for best approximation")
@@ -204,10 +208,24 @@ def best_approx(f: TestFunction, A, p, box, grid: int) -> float:
         return (1.0 - eta_profile(xi @ Astar_inv.T)) * \
             np.asarray(f.fourier(xi), dtype=complex)
 
-    cells = split_box(f.fourier_support,
-                      np.hstack([band, map_box(A.T, [[-1.0, 1.0]] * d)]))
-    vals = transform(resid, cells, target, PROFILE_TOL, "best approximation")
+    cells = [cell for cell in split_box(
+        f.fourier_support, np.hstack([band, map_box(A.T, [[-1.0, 1.0]] * d)]))
+        if np.any(np.abs(map_box(Astar_inv, cell)) > 0.5)]
+    vals = (transform(resid, cells, target, PROFILE_TOL, "best approximation")
+            if cells else np.zeros(0))
     return grid_lp_norm(vals, target.cell_volume, p)
+
+
+def _check_shapes(f: TestFunction, matrix, box):
+    """InvalidParams unless the matrix is d x d and the box (d, 2) for the
+    signal's dimension d."""
+    d = f.dim
+    if matrix.shape != (d, d):
+        raise InvalidParams(f"matrix of shape {matrix.shape} does not fit the "
+                            f"{d}-D signal {f.name}: expected {(d, d)}")
+    if np.shape(box) != (d, 2):
+        raise InvalidParams(f"box of shape {np.shape(box)} does not fit the "
+                            f"{d}-D signal {f.name}: expected {(d, 2)}")
 
 
 def fractional_laplacian(P: TestFunction, s: float) -> TestFunction:

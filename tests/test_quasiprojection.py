@@ -1,9 +1,10 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
-from quasiproj.analyzers import analyze, make_analyzer
+from quasiproj.analyzers import analyze, fourier_symbol, make_analyzer
 from quasiproj.errors import InvalidParams
 from quasiproj.functions import (TestFunction, band_bump, gaussian, hat_tensor,
                                  sinc_tensor)
@@ -12,8 +13,7 @@ from quasiproj import quadrature
 from quasiproj.lattice import make_dilation, map_box
 from quasiproj.quadrature import GridSpec, fourier_sum
 from quasiproj import quasiprojection
-from quasiproj.quasiprojection import (OperatorSpec, _spectrum_pts,
-                                       alias_shifts, error_lp,
+from quasiproj.quasiprojection import (OperatorSpec, alias_shifts, error_lp,
                                        evaluate_grid_compact,
                                        evaluate_spatial, spectral_evaluator,
                                        spectrum_support)
@@ -226,17 +226,38 @@ def test_spectral_matches_truncated_spatial_sum():
 
 
 def _windows(monkeypatch):
-    """Record (full grid, node window) of each spectral_evaluator call."""
+    """Record the node axes and weights each evaluator hands to
+    `grid_fourier_sum`."""
     seen = []
-    window = quasiprojection._node_window
+    window_sum = quasiprojection.grid_fourier_sum
 
-    def spy(spec, f, full, shifts):
-        nodes = window(spec, f, full, shifts)
-        seen.append((full, nodes))
-        return nodes
+    def spy(grid, axes, weights):
+        seen.append((axes, weights))
+        return window_sum(grid, axes, weights)
 
-    monkeypatch.setattr(quasiprojection, "_node_window", spy)
+    monkeypatch.setattr(quasiprojection, "grid_fourier_sum", spy)
     return seen
+
+
+def _full_grid(spec, axes):
+    """The midpoint grid over S = spectrum_support(spec) with the window's
+    node spacing (exact: every spacing here is a power of two)."""
+    S = spectrum_support(spec)
+    return GridSpec(S, tuple(round((hi - lo) / (ax[1] - ax[0]))
+                             for (lo, hi), ax in zip(S, axes)))
+
+
+def _alias_sum(spec, f, nodes):
+    """Reference alias sum phi^(M*^{-j} xi) sum_k f^(xi + M*^j k)
+    conj(lambda^(M*^{-j} xi + k)) at the rows of nodes: one profile call and
+    one symbol call per shift, in `alias_shifts` order."""
+    Aj = spec.dilation.adjoint_power(spec.level)
+    base = nodes @ np.linalg.inv(Aj).T
+    acc = np.zeros(nodes.shape[0], dtype=complex)
+    for k in alias_shifts(spec, f):
+        fhat = np.asarray(f.fourier(nodes + Aj @ k), dtype=complex)
+        acc += fhat * np.conj(fourier_symbol(spec.analyzer, base + k))
+    return np.asarray(spec.generator.fourier(base), dtype=complex) * acc
 
 
 @pytest.mark.parametrize("level", [0, 1, 2, 3])
@@ -275,19 +296,20 @@ def test_node_window_matches_full_grid(monkeypatch, f, dilation, level,
                         make_dilation(dilation), level)
     seen = _windows(monkeypatch)
     ev = spectral_evaluator(spec, f)
-    [(full, nodes)] = seen
-    assert nodes.counts == counts
+    pts = GridSpec([[-3.0, 3.0]] * dim, 48 if dim == 1 else 12)
+    got = ev(pts)
+    [(axes, _)] = seen
+    assert tuple(len(a) for a in axes) == counts
     # the window's nodes are the full grid's midpoints, bit for bit
-    for a, b in zip(nodes.axes, full.axes):
+    full = _full_grid(spec, axes)
+    for a, b in zip(axes, full.axes):
         start = np.flatnonzero(b == a[0])
         assert len(start) == 1
         assert np.array_equal(a, b[start[0]:start[0] + len(a)])
-    pts = GridSpec([[-3.0, 3.0]] * dim, 48 if dim == 1 else 12)
-    weights = (_spectrum_pts(spec, f, full.points, alias_shifts(spec, f))
-               * full.cell_volume)
+    weights = _alias_sum(spec, f, full.points) * full.cell_volume
     want = fourier_sum(pts.points, full.points, weights)
     tol = 1e-13 * np.max(np.abs(want))
-    assert np.max(np.abs(ev(pts) - want)) <= tol
+    assert np.max(np.abs(got - want)) <= tol
     assert np.max(np.abs(ev(pts.points) - want)) <= tol
 
 
@@ -295,14 +317,18 @@ def test_node_window_on_the_sinc_rates_sweep(monkeypatch):
     # the benchmark's sinc_rates_1d config: 9216 nodes at levels 5-6, where
     # the gaussian's box meets one alias, and all of S at levels 2-4
     seen = _windows(monkeypatch)
-    for level in range(2, 7):
-        spectral_evaluator(_spec("TensorSincPower", {"n": 1, "a": 1.0},
-                                 "BoxAverage", level=level), gaussian(1))
-    assert [full.counts for full, _ in seen] == [(4096,), (4096,), (8192,),
-                                                 (16384,), (32768,)]
-    assert [nodes.counts for _, nodes in seen] == [(4096,), (4096,), (8192,),
-                                                   (9216,), (9216,)]
-    assert [tuple(nodes.box[0]) for _, nodes in seen[3:]] == [(-9.0, 9.0)] * 2
+    specs = [_spec("TensorSincPower", {"n": 1, "a": 1.0}, "BoxAverage",
+                   level=level) for level in range(2, 7)]
+    for spec in specs:
+        spectral_evaluator(spec, gaussian(1))(GridSpec([[-8.0, 8.0]], 8))
+    assert [_full_grid(spec, axes).counts
+            for spec, (axes, _) in zip(specs, seen)] == [
+        (4096,), (4096,), (8192,), (16384,), (32768,)]
+    assert [len(axes[0]) for axes, _ in seen] == [4096, 4096, 8192, 9216,
+                                                  9216]
+    for axes, _ in seen[3:]:
+        half = 0.5 * (axes[0][1] - axes[0][0])
+        assert (axes[0][0] - half, axes[0][-1] + half) == (-9.0, 9.0)
 
 
 def test_empty_node_window_gives_zeros(monkeypatch):
@@ -313,12 +339,58 @@ def test_empty_node_window_gives_zeros(monkeypatch):
                      fourier=lambda xi: np.ones(len(xi)),
                      fourier_support=np.array([[0.3, 0.7]]))
     assert alias_shifts(spec, f) == []
-    monkeypatch.setattr(quasiprojection, "_spectrum_pts", None)
+    monkeypatch.setattr(quasiprojection, "fourier_symbol", None)
+    monkeypatch.setattr(quasiprojection, "grid_fourier_sum", None)
     ev = spectral_evaluator(spec, f)
     g = GridSpec([[-2.0, 2.0]], 16)
     assert np.array_equal(ev(g), np.zeros(16, dtype=complex))
     assert np.array_equal(ev(g.points), np.zeros(16, dtype=complex))
     assert ev(0.5) == 0
+
+
+def _counted(fn, calls):
+    def wrapper(*args):
+        calls.append(1)
+        return fn(*args)
+    return wrapper
+
+
+def test_spectral_evaluator_takes_one_pass(monkeypatch):
+    # the benchmark's sinc_rates_1d operator at level 2 has 5 alias shifts;
+    # its alias sum takes one profile call of the signal and one symbol call
+    spec = _spec("TensorSincPower", {"n": 1, "a": 1.0}, "BoxAverage", level=2)
+    profile_calls, symbol_calls = [], []
+    f = gaussian(1)
+    f = dataclasses.replace(f, fourier=_counted(f.fourier, profile_calls))
+    monkeypatch.setattr(quasiprojection, "fourier_symbol",
+                        _counted(fourier_symbol, symbol_calls))
+    assert len(alias_shifts(spec, f)) == 5
+    spectral_evaluator(spec, f)
+    assert (len(profile_calls), len(symbol_calls)) == (1, 1)
+
+
+@pytest.mark.parametrize("f, dilation, level, analyzer", [
+    (gaussian(1), [[2.0]], 2, "BoxAverage"),
+    (gaussian(2), _QUINCUNX, 1, "Dirac"),
+    (gaussian(2), _QUINCUNX, 2, "Dirac"),
+])
+def test_spectral_weights_equal_a_per_shift_loop(monkeypatch, f, dilation,
+                                                 level, analyzer):
+    dim = f.dim
+    spec = OperatorSpec(make_generator("TensorSincPower", {"n": 1, "a": 1.0},
+                                       dim),
+                        make_analyzer(analyzer, dim), make_dilation(dilation),
+                        level)
+    seen = _windows(monkeypatch)
+    g = GridSpec([[-3.0, 3.0]] * dim, 48 if dim == 1 else 12)
+    got = spectral_evaluator(spec, f)(g)
+    [(axes, weights)] = seen
+    nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(
+        -1, dim)
+    volume = np.prod([ax[1] - ax[0] for ax in axes])  # a power of two
+    want = _alias_sum(spec, f, nodes) * volume
+    assert np.array_equal(weights, want)
+    assert np.array_equal(got, quadrature.grid_fourier_sum(g, axes, want))
 
 
 def test_gaussian_l2_norm_oracle():

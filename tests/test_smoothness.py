@@ -5,14 +5,15 @@ import pytest
 
 from quasiproj.conditions import lcal_p_norm
 from quasiproj.errors import InvalidParams, UnsupportedInput
-from quasiproj.functions import (TestFunction, band_bump, gaussian, hat_tensor,
-                                 translate)
+from quasiproj.functions import (PROFILE_TOL, TestFunction, band_bump,
+                                 gaussian, hat_tensor, translate)
 from quasiproj import quadrature
 from quasiproj.generators import make_generator
 from quasiproj.quadrature import (GridSpec, fourier_sum, gauss_nodes_box,
                                   grid_lp_norm, split_box, transform)
 from quasiproj.quasiprojection import error_lp
 from quasiproj import smoothness
+from quasiproj.lattice import map_box
 from quasiproj.smoothness import (ModulusSpec, best_approx, besov_partial_norm,
                                   difference, eta_profile, fractional_difference,
                                   fractional_laplacian, modulus,
@@ -353,6 +354,52 @@ def test_best_approx_p1_2d_builds_bounded_phase_blocks(monkeypatch):
     res = best_approx(f, A, 1, box, 16)
     assert 0 < max(blocks) <= 100_000
     assert abs(res - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("A", [32.0, 64.0])
+@pytest.mark.parametrize("p", [np.inf, 1])
+def test_best_approx_inside_the_band_skips_the_transform(monkeypatch, A, p):
+    # A* [-1/2, 1/2] covers the gaussian's box [-9, 9], so eta is 1 on it
+    monkeypatch.setattr(smoothness, "transform", None)
+    assert best_approx(gaussian(1), np.array([[A]]), p, BOX, 256) == 0.0
+
+
+@pytest.mark.parametrize("A", [4.0, 8.0, 16.0])
+@pytest.mark.parametrize("p", [np.inf, 1])
+def test_best_approx_dropping_inner_cells_keeps_the_value(A, p):
+    # reference: the residual transformed over every cell of the cut support
+    f, A = gaussian(1), np.array([[A]])
+    target = GridSpec(BOX, 256)
+
+    def resid(xi):
+        return (1.0 - eta_profile(xi @ np.linalg.inv(A.T).T)) * \
+            np.asarray(f.fourier(xi), dtype=complex)
+
+    cells = split_box(f.fourier_support, np.hstack([
+        map_box(A.T, [[-0.5, 0.5]]), map_box(A.T, [[-1.0, 1.0]])]))
+    want = grid_lp_norm(transform(resid, cells, target, PROFILE_TOL, "ref"),
+                        target.cell_volume, p)
+    assert best_approx(f, A, p, BOX, 256) == want
+
+
+@pytest.mark.parametrize("call, shapes", [
+    (lambda: modulus(gaussian(2), ModulusSpec(2, [[0.5]], 2),
+                     [[-1.0, 1.0]] * 2, 8), r"\(1, 1\).*\(2, 2\)"),
+    (lambda: modulus(gaussian(1), ModulusSpec(2, [[0.5]], 2),
+                     [[-1.0, 1.0]] * 2, 8), r"\(2, 2\).*\(1, 2\)"),
+    (lambda: best_approx(gaussian(1), np.eye(2), 2, [[-1.0, 1.0]], 8),
+     r"\(2, 2\).*\(1, 1\)"),
+    (lambda: best_approx(gaussian(2), [[2.0]], 2, [[-1.0, 1.0]] * 2, 8),
+     r"\(1, 1\).*\(2, 2\)"),
+    (lambda: best_approx(gaussian(2), [[2.0]], 1, [[-1.0, 1.0]] * 2, 8),
+     r"\(1, 1\).*\(2, 2\)"),
+    (lambda: best_approx(gaussian(2), 2 * np.eye(2), 1, [[-1.0, 1.0]], 8),
+     r"\(1, 2\).*\(2, 2\)"),
+], ids=["modulus-matrix", "modulus-box", "best-p2-matrix-2x2",
+        "best-p2-matrix-1x1", "best-p1-matrix-1x1", "best-p1-box"])
+def test_metrics_reject_shapes_that_miss_the_signal(call, shapes):
+    with pytest.raises(InvalidParams, match=shapes):
+        call()
 
 
 def _metric(name, p):
