@@ -9,9 +9,9 @@ over a window that holds every atom reaching the point.  The spectral route
 handles band-limited data exactly: the transform of the operator output is
 assembled in one pass from finitely many lattice aliases of the signal's
 profile: the nodes of its support box that a shifted signal box reaches
-are cut once, and one profile call and one symbol call cover them for
-every shift.  Its callable evaluates either at arbitrary points or, handed
-a `GridSpec`, on that grid axis by axis.
+are cut once, and each shift adds its term over them.  Its callable
+evaluates either at arbitrary points or, handed a `GridSpec`, on that grid
+axis by axis.
 """
 
 from dataclasses import dataclass
@@ -164,9 +164,8 @@ def spectral_evaluator(spec: OperatorSpec, f: TestFunction):
 
     The spectrum is sampled on the cells of a midpoint grid over its support
     box S that some shifted box supp f^ - M*^j k reaches; elsewhere the grid
-    would sample f^ only beyond its declared box.  One profile call of the
-    signal and one `fourier_symbol` call cover the nodes stacked once per
-    shift, and the terms add in `alias_shifts` order.  The returned callable
+    would sample f^ only beyond its declared box.  Each shift adds its term
+    over those nodes, in `alias_shifts` order.  The returned callable
     takes a `GridSpec`, summed per axis by `grid_fourier_sum`, or points
     (n, d), summed by the blocked `fourier_sum`, and returns the complex
     values (row-major on a grid).  With no alias shift it returns zeros.
@@ -195,14 +194,12 @@ def spectral_evaluator(spec: OperatorSpec, f: TestFunction):
     if nodes is not None:
         pts = nodes.points
         base = pts @ np.linalg.inv(Aj).T
-        stack = (len(shifts), len(pts))
-        fhat = np.asarray(f.fourier((pts + moved[:, None]).reshape(
-            -1, spec.dim))).reshape(stack)
-        sym = fourier_symbol(spec.analyzer, (base + shifts[:, None]).reshape(
-            -1, spec.dim)).reshape(stack)
         acc = np.zeros(len(pts), dtype=complex)
-        for fk, sk in zip(fhat, sym):
-            acc += fk * np.conj(sk)
+        for k, m in zip(shifts, moved):
+            fhat = np.asarray(f.fourier(pts + m), dtype=complex)
+            sym = np.asarray(fourier_symbol(spec.analyzer, base + k),
+                             dtype=complex)
+            acc += fhat * np.conj(sym)
         weights = (np.asarray(spec.generator.fourier(base), dtype=complex)
                    * acc * nodes.cell_volume)
 

@@ -211,8 +211,9 @@ def best_approx(f: TestFunction, A, p, box, grid: int) -> float:
     cells = [cell for cell in split_box(
         f.fourier_support, np.hstack([band, map_box(A.T, [[-1.0, 1.0]] * d)]))
         if np.any(np.abs(map_box(Astar_inv, cell)) > 0.5)]
-    vals = (transform(resid, cells, target, PROFILE_TOL, "best approximation")
-            if cells else np.zeros(0))
+    if not cells:  # the residual is 0 everywhere; grid_lp_norm checks p
+        return grid_lp_norm([0.0], target.cell_volume, p)
+    vals = transform(resid, cells, target, PROFILE_TOL, "best approximation")
     return grid_lp_norm(vals, target.cell_volume, p)
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 
 import numpy as np
@@ -346,27 +345,6 @@ def test_empty_node_window_gives_zeros(monkeypatch):
     assert np.array_equal(ev(g), np.zeros(16, dtype=complex))
     assert np.array_equal(ev(g.points), np.zeros(16, dtype=complex))
     assert ev(0.5) == 0
-
-
-def _counted(fn, calls):
-    def wrapper(*args):
-        calls.append(1)
-        return fn(*args)
-    return wrapper
-
-
-def test_spectral_evaluator_takes_one_pass(monkeypatch):
-    # the benchmark's sinc_rates_1d operator at level 2 has 5 alias shifts;
-    # its alias sum takes one profile call of the signal and one symbol call
-    spec = _spec("TensorSincPower", {"n": 1, "a": 1.0}, "BoxAverage", level=2)
-    profile_calls, symbol_calls = [], []
-    f = gaussian(1)
-    f = dataclasses.replace(f, fourier=_counted(f.fourier, profile_calls))
-    monkeypatch.setattr(quasiprojection, "fourier_symbol",
-                        _counted(fourier_symbol, symbol_calls))
-    assert len(alias_shifts(spec, f)) == 5
-    spectral_evaluator(spec, f)
-    assert (len(profile_calls), len(symbol_calls)) == (1, 1)
 
 
 @pytest.mark.parametrize("f, dilation, level, analyzer", [
