@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import analyzers, functions, generators
-from .errors import HypothesisViolated, QuasiprojError
+from .errors import ConfigError, HypothesisViolated, QuasiprojError
 from .harness import (ExperimentConfig, build_operator, condition_summary,
                       emit, reconstruction_check, run_experiment)
 
@@ -86,6 +86,10 @@ def main(argv=None) -> int:
             _write(emit(run_experiment(cfg), cfg.output_format), args.output)
             return 0
         if args.command == "reconstruct":
+            if len(cfg.levels) != 1:
+                raise ConfigError("reconstruct checks one level: "
+                                  "experiment.levels must list one, got "
+                                  f"{list(cfg.levels)}")
             spec = build_operator(cfg, cfg.levels[0])
             result = reconstruction_check(spec, cfg.function,
                                           np.asarray(cfg.box, dtype=float),

@@ -175,6 +175,8 @@ def lcal_p_norm(g: Generator, p: float) -> float:
 
 @dataclass(frozen=True)
 class ConditionReport:
+    """The condition certificates of one generator/analyzer pair."""
+
     strang_fix: int
     weak_compat: int
     strict_delta: float

@@ -22,6 +22,9 @@ from .quadrature import as_points, split_box, transform
 
 @dataclass
 class TestFunction:
+    """A test signal: spatial values and, if known, its Fourier transform and
+    spectrum box."""
+
     __test__ = False  # keep pytest from collecting this as a test class
 
     name: str

@@ -6,8 +6,6 @@ testable invariant rather than an aspiration.
 """
 
 from dataclasses import asdict, dataclass, field
-import csv
-import hashlib
 import io
 import json
 
@@ -25,6 +23,16 @@ from .quadrature import GridSpec
 from .quasiprojection import (OperatorSpec, error_lp, evaluate_grid_compact,
                               evaluate_spatial, spectral_evaluator)
 from .smoothness import ModulusSpec, best_approx, modulus
+
+# The interpreter's builtin SHA-256, the module hashlib falls back to:
+# hashlib itself imports _hashlib, which maps OpenSSL into the process.
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 
 # -- configuration -----------------------------------------------------------
@@ -112,9 +120,9 @@ class ExperimentConfig:
         levels = need("experiment", "levels")
         if not (isinstance(levels, list) and levels and
                 all(isinstance(j, int) and not isinstance(j, bool) and j >= 0
-                    for j in levels)):
+                    for j in levels) and len(set(levels)) == len(levels)):
             raise ConfigError("experiment.levels must be a nonempty list of "
-                              "nonnegative integers")
+                              f"distinct nonnegative integers, got {levels!r}")
         p = need("experiment", "p", 2, _exponent)
         grid = need("experiment", "grid", 2048 if dim == 1 else 256, as_int)
         if grid < 2:
@@ -151,8 +159,10 @@ class ExperimentConfig:
         return ExperimentConfig.from_dict(data)
 
     def digest(self) -> str:
+        """The first 16 hex digits of the SHA-256 of the config JSON with
+        sorted keys."""
         blob = json.dumps(self.raw, sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()[:16]
+        return sha256(blob).hexdigest()[:16]
 
 
 def _exponent(value) -> float:
@@ -200,18 +210,21 @@ def build_function(cfg: ExperimentConfig):
 
 def rate_fit(levels, values):
     """Least-squares slope of log2(value) against the level, with the worst
-    residual; rates are only meaningful for strictly positive values."""
+    residual; rates are only meaningful for strictly positive values.
+
+    With x and y the levels and the log2 values less their means, the slope
+    is sum(x y) / sum(x^2) and the residual max |y - slope x|."""
     levels = np.asarray(levels, dtype=float)
     values = np.asarray(values, dtype=float)
-    if len(levels) < 2:
-        raise InvalidParams("rate fit needs at least two levels")
+    if len(set(levels.tolist())) < 2:
+        raise InvalidParams("rate fit needs at least two distinct levels")
     if np.any(values <= 0):
         raise NonPositiveValue("rate fit needs strictly positive values")
-    logs = np.log2(values)
-    A = np.stack([levels, np.ones_like(levels)], axis=1)
-    coef, *_ = np.linalg.lstsq(A, logs, rcond=None)
-    resid = logs - A @ coef
-    return float(coef[0]), float(np.max(np.abs(resid)))
+    x = levels - levels.mean()
+    y = np.log2(values)
+    y -= y.mean()
+    slope = float(x @ y / (x @ x))
+    return slope, float(np.max(np.abs(y - slope * x)))
 
 
 def two_sided_ratio(errors, references):
@@ -247,6 +260,8 @@ def apply_operator(spec: OperatorSpec, f):
 
 @dataclass
 class LevelResult:
+    """One report row: the error at a level and its optional references."""
+
     level: int
     error: float
     modulus: float | None = None
@@ -256,6 +271,8 @@ class LevelResult:
 
 @dataclass
 class ExperimentReport:
+    """The report of a level sweep: rows, rate fit and provenance."""
+
     config_digest: str
     levels: list
     rows: list
@@ -345,6 +362,7 @@ def reconstruction_check(spec: OperatorSpec, f, box, grid: int):
 # -- emission ----------------------------------------------------------------
 
 def _csv_text(report: ExperimentReport) -> str:
+    import csv  # only CSV reports pay for loading it
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["level", "error", "modulus", "best_approx", "ratio"])

@@ -33,6 +33,8 @@ from .quadrature import (GridSpec, as_points, fourier_sum, grid_fourier_sum,
 
 @dataclass(frozen=True)
 class OperatorSpec:
+    """The operator Q_j: generator, analyzer, dilation and level j."""
+
     generator: Generator
     analyzer: AnalysisFunctional
     dilation: DilationMatrix

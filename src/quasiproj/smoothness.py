@@ -29,6 +29,8 @@ RADII = 6                # radius ladder 1 - 2^-i, i = 1..RADII
 
 @dataclass(frozen=True)
 class ModulusSpec:
+    """The order, step matrix and exponent p of a modulus of smoothness."""
+
     order: float
     matrix: np.ndarray
     p: float
@@ -43,6 +45,8 @@ class ModulusSpec:
 
 @dataclass(frozen=True)
 class ModulusResult:
+    """A modulus value and the number of steps it took the sup over."""
+
     value: float
     net_size: int
 

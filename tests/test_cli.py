@@ -74,6 +74,16 @@ def test_reconstruct_success(tmp_path, capsys):
     assert result["sup_error"] < 1e-8
 
 
+def test_reconstruct_takes_one_level_exit_1(tmp_path, capsys):
+    data = json.loads(json.dumps(RECONSTRUCT))
+    data["experiment"]["levels"] = [0, 2]
+    assert main(["reconstruct", _write(tmp_path, data)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (captured.err.startswith("error:")
+            and "experiment.levels" in captured.err)
+
+
 def test_reconstruct_hypothesis_violation_exit_2(tmp_path):
     data = json.loads(json.dumps(RECONSTRUCT))
     data["function"]["params"]["rho"] = 0.7  # spectrum exceeds the band
@@ -125,7 +135,8 @@ def test_malformed_config_values_exit_1(tmp_path, capsys):
                                  ("experiment", "grid", 0, 1),
                                  ("experiment", "grid", 1, 1),
                                  ("experiment", "with_modulus", "false", 1),
-                                 ("experiment", "with_best_approx", 1, 1)):
+                                 ("experiment", "with_best_approx", 1, 1),
+                                 ("experiment", "levels", [3, 3], 1)):
         data = json.loads(json.dumps(GOOD))
         data[sec][key] = value
         data["operator"]["dim"] = dim

@@ -1,5 +1,10 @@
+from fractions import Fraction
+import hashlib
 import json
+import os
 from pathlib import Path
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -55,6 +60,32 @@ def test_rate_fit_rejects_nonpositive():
         rate_fit([1, 2], [1.0, 0.0])
     with pytest.raises(InvalidParams):
         rate_fit([1], [1.0])
+    with pytest.raises(InvalidParams, match="distinct"):
+        rate_fit([3, 3], [0.1, 0.2])
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_rate_fit_matches_lstsq(n):
+    # a sweep's shape: consecutive levels, errors near 2^(-2j)
+    rng = np.random.default_rng(n)
+    levels = np.arange(2, 2 + n)
+    values = 2.0 ** (-2.0 * levels) * rng.uniform(0.5, 2.0, size=n)
+    slope, resid = rate_fit(levels.tolist(), values.tolist())
+    logs = np.log2(values)
+    A = np.stack([levels, np.ones(n)], axis=1)
+    coef, *_ = np.linalg.lstsq(A, logs, rcond=None)
+    assert slope == pytest.approx(coef[0], rel=1e-13, abs=0)
+    assert resid == pytest.approx(np.max(np.abs(logs - A @ coef)),
+                                  rel=0, abs=1e-14)
+    # and the exact least-squares fit of the same float logs
+    X = [Fraction(int(j)) for j in levels]
+    Y = [Fraction(v) for v in logs.tolist()]
+    x = [a - sum(X) / n for a in X]
+    y = [b - sum(Y) / n for b in Y]
+    exact = sum(a * b for a, b in zip(x, y)) / sum(a * a for a in x)
+    assert slope == pytest.approx(float(exact), rel=2e-15, abs=0)
+    assert resid == pytest.approx(
+        float(max(abs(b - exact * a) for a, b in zip(x, y))), rel=0, abs=5e-15)
 
 
 def test_two_sided_ratio():
@@ -130,6 +161,8 @@ def test_config_boolean_levels_rejected():
     ("experiment.with_modulus", 1),
     ("experiment.with_best_approx", "true"),
     ("experiment.with_best_approx", None),
+    ("experiment.levels", [3, 3]),
+    ("experiment.levels", [1, 2, 1]),
 ])
 def test_config_non_numeric_field(field, value):
     overrides = {field: value}
@@ -188,6 +221,38 @@ def test_emit_json_deterministic():
     assert a == b
     parsed = json.loads(a)
     assert parsed["config_digest"] == cfg.digest()
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")),
+                         ids=lambda p: p.name)
+def test_digest_is_sha256_of_sorted_config(path):
+    raw = json.loads(path.read_text())
+    want = hashlib.sha256(json.dumps(raw, sort_keys=True).encode())
+    assert ExperimentConfig.from_dict(raw).digest() == want.hexdigest()[:16]
+
+
+def test_rates_run_loads_neither_openssl_nor_csv():
+    # the digest takes the interpreter's builtin SHA-256, and only CSV
+    # reports import csv: a JSON rates process loads neither
+    root = Path(__file__).resolve().parent.parent
+    code = """
+import json, sys
+import numpy
+watch = {"_hashlib", "csv"}
+before = set(sys.modules)
+from quasiproj.cli import main
+code = main(["rates", sys.argv[1]])
+print(json.dumps({"code": code, "preloaded": sorted(watch & before),
+                  "added": sorted(watch & set(sys.modules) - before)}))
+"""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(CONFIGS / "rates_spline_box.json")],
+        capture_output=True, text=True, env=env, timeout=120, check=True)
+    got = json.loads(out.stdout.strip().splitlines()[-1])
+    if got["preloaded"]:
+        pytest.skip(f"this numpy loads {got['preloaded']} on import")
+    assert got["code"] == 0 and got["added"] == []
 
 
 def test_emit_csv_layout():
