@@ -8,12 +8,11 @@ conditions the error estimates require.
 """
 
 from .analyzers import AnalysisFunctional, alpha_bound, analyze, make_analyzer
-from .conditions import (condition_report, lcal_p_norm, mikhlin_constant,
+from .conditions import (condition_report, mikhlin_constant,
                          strang_fix_order, strict_compat_radius,
                          weak_compat_order)
 from .errors import (ConfigError, HypothesisViolated, InvalidParams,
-                     NonSummableDecay, NotExpansive, QuasiprojError,
-                     UnsupportedMatrix)
+                     NotExpansive, QuasiprojError, UnsupportedMatrix)
 from .functions import TestFunction, band_bump, gaussian, hat_tensor, sinc_tensor
 from .generators import Generator, make_generator
 from .harness import (ExperimentConfig, ExperimentReport, emit, rate_fit,
@@ -21,7 +20,7 @@ from .harness import (ExperimentConfig, ExperimentReport, emit, rate_fit,
 from .lattice import DilationMatrix, make_dilation
 from .quasiprojection import (OperatorSpec, error_lp, evaluate_spatial,
                               spectral_evaluator)
-from .smoothness import (ModulusSpec, best_approx, besov_partial_norm,
-                         fractional_difference, fractional_laplacian, modulus)
+from .smoothness import (ModulusSpec, best_approx, fractional_difference,
+                         fractional_laplacian, modulus)
 
 __version__ = "0.1.0"

@@ -8,14 +8,13 @@ orders are certificates of observed behavior rather than symbolic proofs.
 """
 
 from dataclasses import asdict, dataclass
-import itertools
 
 import numpy as np
 
 from .analyzers import AnalysisFunctional, fourier_symbol
-from .errors import InvalidParams, NonSummableDecay
+from .errors import InvalidParams
 from .generators import Generator
-from .quadrature import GridSpec, grid_lp_norm
+from .quadrature import GridSpec
 from .smoothness import difference
 
 ZERO_TOL = 1e-7
@@ -24,8 +23,6 @@ DIFF_STEPS = (1e-2, 5e-3, 2.5e-3)
 STRICT_TOL = 1e-9     # strict compatibility: largest |defect| on a box
 STRICT_GRID = 64      # midpoints per axis on each dyadic box
 MIKHLIN_GRID = 48     # points per axis on each annulus' bounding box
-LCAL_RADIUS = 12      # largest lattice shift per axis without compact support
-LCAL_GRID = 96        # midpoints per axis on the unit box
 
 
 def _central_difference(fn, x, order, h, axis):
@@ -148,29 +145,6 @@ def mikhlin_constant(g: Generator, a: AnalysisFunctional) -> float:
                                                    axis)) / h ** gamma
                 best = max(best, float(np.max(rad[mask] ** gamma * deriv)))
     return best
-
-
-def lcal_p_norm(g: Generator, p: float) -> float:
-    """Mixed-norm size of phi: L_p norm over the unit box of the lattice
-    periodization of |phi| (finite for declared decay rate > 1), for p as
-    `grid_lp_norm` takes it.
-
-    Band-limited entries without compact spatial support must declare a
-    decay rate; rates at or below 1 make the periodization diverge.
-    """
-    if g.spatial_support is None:
-        if g.decay_rate is None or g.decay_rate <= 1.0:
-            raise NonSummableDecay(
-                f"{g.kind} decays too slowly for a summable periodization")
-    unit = GridSpec([[-0.5, 0.5]] * g.dim, LCAL_GRID)
-    pts = unit.points
-    acc = np.zeros(pts.shape[0])
-    half = LCAL_RADIUS
-    if g.spatial_support is not None:
-        half = int(np.ceil(np.max(np.abs(g.spatial_support)))) + 1
-    for k in itertools.product(range(-half, half + 1), repeat=g.dim):
-        acc += np.abs(np.asarray(g.spatial(pts + np.array(k, dtype=float))))
-    return grid_lp_norm(acc, unit.cell_volume, p)
 
 
 @dataclass(frozen=True)

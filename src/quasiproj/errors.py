@@ -29,10 +29,6 @@ class UnsupportedMatrix(QuasiprojError):
     """The dilation matrix is outside the supported class for this functional."""
 
 
-class NonSummableDecay(QuasiprojError):
-    """The generator decays too slowly for its periodization to converge."""
-
-
 class NonPositiveValue(QuasiprojError):
     """A quantity that must be positive (for a log fit or a ratio) is not."""
 

@@ -77,7 +77,7 @@ def gaussian(dim: int = 1) -> TestFunction:
 
 def band_bump(rho: float = 0.4, dim: int = 1) -> TestFunction:
     """Band-limited bump: inverse transform of a C-infinity profile on [-rho, rho]^d."""
-    if not (isinstance(rho, numbers.Real) and rho > 0):
+    if isinstance(rho, bool) or not (isinstance(rho, numbers.Real) and rho > 0):
         raise InvalidParams(f"band_bump needs a number rho > 0, got {rho!r}")
 
     def profile(pts):

@@ -14,7 +14,6 @@ kinds the test signals' inverse-Fourier evaluator `functions.from_profile`.
 """
 
 import math
-import numbers
 
 import numpy as np
 
@@ -30,7 +29,7 @@ PARAMS = {
     "BSplineTensor": {"n": 1},
     "BochnerRiesz": {"s": 2.0, "gamma": 1.0},
     "RationalBandlimited": {},
-    "FourierProfile": {"profile": None, "support": None, "decay": None},
+    "FourierProfile": {"profile": None, "support": None},
 }
 KINDS = tuple(PARAMS)
 
@@ -63,13 +62,12 @@ class Generator:
     """
 
     def __init__(self, kind, params, dim, fourier_support, spatial_support,
-                 decay_rate, profile, spatial):
+                 profile, spatial):
         self.kind = kind
         self.params = dict(params)
         self.dim = dim
         self.fourier_support = fourier_support
         self.spatial_support = spatial_support
-        self.decay_rate = decay_rate
         self._profile = profile
         self._spatial = spatial
 
@@ -103,8 +101,8 @@ def make_generator(kind: str, params=None, dim: int = 1) -> Generator:
       BSplineTensor(n): tensor centered cardinal B-spline of order n;
       BochnerRiesz(s, gamma): phi^ = (1 - |3 xi|^s)_+^gamma;
       RationalBandlimited: phi^ = indicator of the torus / prod sinc;
-      FourierProfile: user profile with a declared support box (dim finite
-        rows [lo, hi], lo < hi) or decay rate (a real number).
+      FourierProfile: user profile with an optional support box (dim finite
+        rows [lo, hi], lo < hi).
     """
     if kind not in PARAMS:
         raise InvalidParams(f"unknown generator kind {kind!r}; choose from {KINDS}")
@@ -117,7 +115,7 @@ def make_generator(kind: str, params=None, dim: int = 1) -> Generator:
         c = (a * b0) ** (-dim)
         half = n / (2.0 * a)
         return Generator(
-            kind, params, dim, np.array([[-half, half]] * dim), None, float(n),
+            kind, params, dim, np.array([[-half, half]] * dim), None,
             lambda xi: np.prod(bspline(n, a * xi) / b0, axis=-1),
             lambda x: c * np.prod(np.sinc(x / a) ** n, axis=-1))
     if kind == "BSplineTensor":
@@ -125,7 +123,7 @@ def make_generator(kind: str, params=None, dim: int = 1) -> Generator:
         if n < 1:
             raise InvalidParams(f"BSplineTensor needs n >= 1, got {n}")
         return Generator(kind, params, dim, None,
-                         np.array([[-n / 2.0, n / 2.0]] * dim), None,
+                         np.array([[-n / 2.0, n / 2.0]] * dim),
                          lambda xi: np.prod(np.sinc(xi) ** n, axis=-1),
                          lambda x: np.prod(bspline(n, x), axis=-1))
     if kind == "BochnerRiesz":
@@ -141,8 +139,7 @@ def make_generator(kind: str, params=None, dim: int = 1) -> Generator:
             return np.maximum(1.0 - r ** s, 0.0) ** gamma
 
         return _profiled(kind, params, dim, profile,
-                         np.array([[-1.0 / 3.0, 1.0 / 3.0]] * dim),
-                         gamma + (dim + 1) / 2.0)
+                         np.array([[-1.0 / 3.0, 1.0 / 3.0]] * dim))
     if kind == "RationalBandlimited":
 
         def profile(xi):
@@ -153,21 +150,18 @@ def make_generator(kind: str, params=None, dim: int = 1) -> Generator:
             return out
 
         return _profiled(kind, params, dim, profile,
-                         np.array([[-0.5, 0.5]] * dim), 1.0)
-    profile, support, decay = params["profile"], params["support"], params["decay"]
+                         np.array([[-0.5, 0.5]] * dim))
+    profile, support = params["profile"], params["support"]
     if not callable(profile):
         raise InvalidParams("FourierProfile needs a callable 'profile'")
     try:
         box = None if support is None else as_box(support, dim)
     except ValueError as exc:
         raise InvalidParams(f"FourierProfile support {exc}") from None
-    if isinstance(decay, bool) or not isinstance(decay, (numbers.Real, type(None))):
-        raise InvalidParams(f"FourierProfile decay must be None or a real number, "
-                            f"got {decay!r}")
-    return _profiled(kind, {"profile": profile}, dim, profile, box, decay)
+    return _profiled(kind, {"profile": profile}, dim, profile, box)
 
 
-def _profiled(kind, params, dim, profile, box, decay_rate):
+def _profiled(kind, params, dim, profile, box):
     """A profile-only Generator: phi is `from_profile`'s inverse transform of
     the profile over its support box, which a FourierProfile may lack."""
     if box is None:
@@ -176,7 +170,7 @@ def _profiled(kind, params, dim, profile, box, decay_rate):
                 f"{kind} has no Fourier support box to integrate over")
     else:
         spatial = from_profile(kind, dim, profile, box).spatial
-    return Generator(kind, params, dim, box, None, decay_rate, profile, spatial)
+    return Generator(kind, params, dim, box, None, profile, spatial)
 
 
 def as_box(value, dim):
@@ -210,6 +204,9 @@ def _parameters(kind, params):
                             f"{list(defaults)}")
     cast = {int: as_int, float: float}
     try:
+        if any(isinstance(params.get(k), bool) for k, d in defaults.items()
+               if isinstance(d, float)):  # float(True) would be 1.0
+            raise ValueError("a bool is no number")
         return {k: params.get(k) if d is None else cast[type(d)](params.get(k, d))
                 for k, d in defaults.items()}
     except (TypeError, ValueError) as exc:

@@ -59,9 +59,12 @@ class ExperimentConfig:
     @staticmethod
     def from_dict(data: dict) -> "ExperimentConfig":
         def need(section, key, default=None, kind=None):
-            sec = data.get(section)
-            if not isinstance(sec, dict):
+            if section not in data:
                 raise ConfigError(f"missing config section {section!r}")
+            sec = data[section]
+            if not isinstance(sec, dict):
+                raise ConfigError(f"config section {section!r} must be a JSON "
+                                  f"object, got {sec!r}")
             if default is None and key not in sec:
                 raise ConfigError(f"missing config field {section}.{key}")
             value = sec.get(key, default)
@@ -109,6 +112,8 @@ class ExperimentConfig:
                                   f"{dim} x {dim}, got {value!r}")
             return M
 
+        if not isinstance(data, dict):
+            raise ConfigError(f"config must be a JSON object, got {data!r}")
         dim = need("operator", "dim", 1, as_int)
         if not 1 <= dim <= MAX_DIM:
             raise ConfigError(f"config field operator.dim must be in "

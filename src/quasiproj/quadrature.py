@@ -22,6 +22,8 @@ from .errors import InvalidParams, QuadratureFailure
 
 # largest rows x nodes block a vectorized sum builds at once
 MAX_BLOCK = 4_000_000
+# the largest Gauss order per axis of a rule in 1, 2 and >= 3 dimensions
+ORDER_CAPS = (4096, 256, 128)
 
 
 # typed: 2.0 or True must not hit the cached rule of 2 or 1
@@ -137,11 +139,10 @@ def transform(profile, cells, target, tol, what):
     `GridSpec` target.
 
     Each order takes a tensor Gauss rule per cell; `converge` doubles it from
-    64 to within tol, up to 4096 in 1-D, 256 per axis in 2-D and 128 per axis
-    otherwise, and names `what` at the cap.  Onto points the sum is
-    `fourier_sum`.  Onto a grid each cell is first split evenly per axis
-    into parts that span at most 16 turns of the phase over the grid's box,
-    and the sum is `grid_fourier_sum`."""
+    64 to within tol, up to ORDER_CAPS, and names `what` at the cap.  Onto
+    points the sum is `fourier_sum`.  Onto a grid each cell is first split
+    evenly per axis into parts that span at most 16 turns of the phase over
+    the grid's box, and the sum is `grid_fourier_sum`."""
     on_grid = isinstance(target, GridSpec)
     if on_grid:
         reach = np.max(np.abs(target.box), axis=1)
@@ -159,8 +160,7 @@ def transform(profile, cells, target, tol, what):
                            else fourier_sum(target, nodes, w))
         return vals
 
-    return converge(at, 64, (4096, 256, 128)[min(len(cells[0]), 3) - 1], tol,
-                    what)
+    return converge(at, 64, ORDER_CAPS[min(len(cells[0]), 3) - 1], tol, what)
 
 
 def split_box(box, cuts):
@@ -327,15 +327,19 @@ def _tensor_points(axes):
 
 def grid_lp_norm(values, cell_volume: float, p) -> float:
     """Riemann-sum L_p norm from sampled |values| on a uniform grid, for p a
-    number >= 1, np.inf or "inf"; any other p is InvalidParams."""
+    number >= 1, np.inf or "inf"; any other p is InvalidParams.  The largest
+    |value| is factored out, so a ** p neither underflows nor overflows."""
     a = np.abs(np.asarray(values))
+    top = float(a.max()) if a.size else 0.0
     if p == np.inf or p == "inf":
-        return float(a.max()) if a.size else 0.0
+        return top
     if isinstance(p, bool) or not isinstance(p, numbers.Real) or not p >= 1:
         raise InvalidParams(f'p must be a number >= 1, np.inf or "inf", '
                             f'got {p!r}')
+    if not 0.0 < top < np.inf:  # 0, inf or nan: the norm is that value
+        return top
     p = float(p)
-    return float((np.sum(a ** p) * cell_volume) ** (1.0 / p))
+    return float(top * (np.sum((a / top) ** p) * cell_volume) ** (1.0 / p))
 
 
 def as_points(x, dim: int):

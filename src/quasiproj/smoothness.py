@@ -1,5 +1,5 @@
 """Approximation-theoretic metrics: anisotropic moduli of smoothness, best
-approximations, the fractional Laplacian, and Besov-type partial norms.
+approximations and the fractional Laplacian.
 
 The sup over difference steps in the modulus is sampled on a deterministic
 direction/radius net, so reported values are lower estimates of the exact
@@ -20,8 +20,8 @@ from .errors import InvalidParams, UnsupportedInput
 from .functions import PROFILE_TOL, TestFunction, from_profile
 from . import quadrature
 from .lattice import map_box
-from .quadrature import (GridSpec, gauss_nodes_box, grid_lp_norm, split_box,
-                         transform)
+from .quadrature import (ORDER_CAPS, GridSpec, converge, gauss_nodes_box,
+                         grid_lp_norm, split_box, transform)
 
 DIRECTIONS = 16          # angular directions of the step net in 2-D
 RADII = 6                # radius ladder 1 - 2^-i, i = 1..RADII
@@ -142,31 +142,6 @@ def modulus(f: TestFunction, spec: ModulusSpec, box, grid: int) -> ModulusResult
 
 # -- best approximation -----------------------------------------------------
 
-def spectrum_tail_mass(f: TestFunction, band_box) -> float:
-    """integral of |f^|^2 outside band_box within the declared support: an
-    order-192 Gauss rule on each of at most 2d slabs covering that region.
-    Slab (i, side) keeps the axes before i inside the band, puts axis i
-    below or above it, and leaves the axes after i on the whole support."""
-    if f.fourier is None or f.fourier_support is None:
-        raise UnsupportedInput(f"{f.name} lacks a compact Fourier profile")
-    support = np.asarray(f.fourier_support, dtype=float)
-    band_box = np.asarray(band_box, dtype=float)
-    inside = np.column_stack([np.maximum(support[:, 0], band_box[:, 0]),
-                              np.minimum(support[:, 1], band_box[:, 1])])
-    total = 0.0
-    for i, (lo, hi) in enumerate(support):
-        if np.any(inside[:i, 0] >= inside[:i, 1]):
-            break  # the band misses the support on an earlier axis
-        for side in ((lo, min(hi, band_box[i, 0])),
-                     (max(lo, band_box[i, 1]), hi)):
-            if side[0] >= side[1]:
-                continue
-            slab = np.concatenate([inside[:i], [side], support[i + 1:]])
-            nodes, w = gauss_nodes_box(slab, 192)
-            total += float(np.dot(np.abs(np.asarray(f.fourier(nodes))) ** 2, w))
-    return total
-
-
 def smoothstep(t):
     """C-infinity step: 0 for t <= 0, 1 for t >= 1."""
     t = np.asarray(t, dtype=float)
@@ -187,7 +162,11 @@ def eta_profile(xi):
 def best_approx(f: TestFunction, A, p, box, grid: int) -> float:
     """Distance from f to signals band-limited to A* applied to the torus.
 
-    p = 2: exact Parseval route (tail mass of the profile outside A* T^d).
+    p = 2: the Parseval route, the root of the mass of |f^|^2 outside the box
+    A* T^d (its bounding box under a non-diagonal A, so a lower estimate): a
+    Gauss rule on each cell of the support cut at that box's edges, doubled
+    from order 32 by `converge` to within PROFILE_TOL on the root, up to
+    ORDER_CAPS.
     Other p: the upper bound ||f - N_A f||_p(box), N_A a de la Vallee Poussin
     type smoothing within an absolute constant of the infimum: the residual
     profile (1 - eta(A*^{-1} xi)) f^(xi) over the support, transformed onto
@@ -204,7 +183,18 @@ def best_approx(f: TestFunction, A, p, box, grid: int) -> float:
     d = A.shape[0]
     band = map_box(A.T, [[-0.5, 0.5]] * d)  # A* T^d, A* = A transpose
     if p == 2:
-        return math.sqrt(max(spectrum_tail_mass(f, band), 0.0))
+        tail = [cell for cell in split_box(f.fourier_support, band)
+                if np.any((cell[:, 0] < band[:, 0]) | (cell[:, 1] > band[:, 1]))]
+
+        def root(order):
+            mass = 0.0
+            for cell in tail:
+                nodes, w = gauss_nodes_box(cell, order)
+                mass += float(np.dot(np.abs(f.fourier(nodes)) ** 2, w))
+            return math.sqrt(mass)
+
+        return converge(root, 32, ORDER_CAPS[min(d, 3) - 1], PROFILE_TOL,
+                        "best approximation")
     Astar_inv = np.linalg.inv(A.T)
     target = GridSpec(box, grid)
 
@@ -246,23 +236,3 @@ def fractional_laplacian(P: TestFunction, s: float) -> TestFunction:
 
     return from_profile(f"laplacian^{s / 2:g}({P.name})", P.dim, profile,
                         P.fourier_support, cuts=[[0.0]] * P.dim)
-
-
-def besov_partial_norm(f: TestFunction, M, alpha, p, nu_max: int,
-                       box, grid: int):
-    """Partial Besov-type norm: ||f||_p plus the weighted best-approximation
-    series truncated at nu_max.  Returns (total, term list) so callers can
-    check summability empirically."""
-    if nu_max < 1:
-        raise InvalidParams(f"nu_max must be >= 1, got {nu_max}")
-    ent = M.entries if hasattr(M, "entries") else np.atleast_2d(np.asarray(M, float))
-    det = abs(float(np.linalg.det(ent)))
-    g = GridSpec(box, grid)
-    base = grid_lp_norm(np.asarray(f.spatial(g.points)), g.cell_volume, p)
-    terms = []
-    for nu in range(1, nu_max + 1):
-        Anu = np.linalg.matrix_power(ent, nu)
-        e = best_approx(f, Anu, p, box, grid)
-        weight = 1.0 if p in (np.inf, "inf") else det ** (nu / p)
-        terms.append(weight * alpha(Anu) * e)
-    return base + float(np.sum(terms)), terms

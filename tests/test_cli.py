@@ -27,6 +27,13 @@ RECONSTRUCT = {
 }
 
 
+# the catalog entry a parameter name needs where GOOD's lacks it
+TAKES = {"beta": ("operator", "analyzer", "DiracDerivative"),
+         "a": ("operator", "generator", "TensorSincPower"),
+         "s": ("operator", "generator", "BochnerRiesz"),
+         "rho": ("function", "name", "band_bump")}
+
+
 def _write(tmp_path, data, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data))
@@ -95,6 +102,15 @@ def test_bad_config_exit_1(tmp_path):
     assert main(["check", str(tmp_path / "missing.json")]) == 1
 
 
+def test_config_not_an_object_exit_1(tmp_path, capsys):
+    for data, where in (([], "config"), ("x", "config"),
+                        ({**GOOD, "operator": []}, "section 'operator'")):
+        assert main(["rates", _write(tmp_path, data)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and \
+            f"{where} must be a JSON object" in err
+
+
 def test_malformed_config_values_exit_1(tmp_path, capsys):
     for sec, key, value, dim in (("experiment", "grid", "big", 1),
                                  ("experiment", "levels", [True, 2], 1),
@@ -136,12 +152,19 @@ def test_malformed_config_values_exit_1(tmp_path, capsys):
                                  ("experiment", "grid", 1, 1),
                                  ("experiment", "with_modulus", "false", 1),
                                  ("experiment", "with_best_approx", 1, 1),
-                                 ("experiment", "levels", [3, 3], 1)):
+                                 ("experiment", "levels", [3, 3], 1),
+                                 ("operator", "generator_params",
+                                  {"a": True}, 1),
+                                 ("operator", "generator_params",
+                                  {"s": True, "gamma": True}, 1),
+                                 ("function", "params", {"rho": True}, 1)):
         data = json.loads(json.dumps(GOOD))
         data[sec][key] = value
         data["operator"]["dim"] = dim
-        if isinstance(value, dict) and "beta" in value:
-            data["operator"]["analyzer"] = "DiracDerivative"
+        for name in value if isinstance(value, dict) else ():
+            if name in TAKES:
+                where, field, entry = TAKES[name]
+                data[where][field] = entry
         assert main(["rates", _write(tmp_path, data)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"{sec}.{key}" in err

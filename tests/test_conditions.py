@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from quasiproj.analyzers import make_analyzer
-from quasiproj.conditions import (condition_report, lcal_p_norm,
-                                  mikhlin_constant, strang_fix_order,
-                                  strict_compat_radius, weak_compat_order)
-from quasiproj.errors import InvalidParams, NonSummableDecay
+from quasiproj.conditions import (condition_report, mikhlin_constant,
+                                  strang_fix_order, strict_compat_radius,
+                                  weak_compat_order)
+from quasiproj.errors import InvalidParams
 from quasiproj.generators import make_generator
 
 
@@ -80,23 +80,6 @@ def test_mikhlin_constant_finite_and_scales():
     exact = mikhlin_constant(_sinc(), make_analyzer("Dirac", 1))
     # the exact pair has defect 1 outside the band but 0 inside it
     assert exact <= c + 1.5
-
-
-def test_periodization_norm_of_hat_is_one():
-    g = make_generator("BSplineTensor", {"n": 2}, 1)
-    assert lcal_p_norm(g, np.inf) == pytest.approx(1.0, abs=1e-12)
-    assert lcal_p_norm(g, 1.0) == pytest.approx(1.0, rel=1e-10)
-
-
-def test_periodization_diverges_for_slow_decay():
-    with pytest.raises(NonSummableDecay):
-        lcal_p_norm(_sinc(), 2.0)
-
-
-def test_periodization_finite_for_cubed_sinc():
-    g = make_generator("TensorSincPower", {"n": 3, "a": 4.0}, 1)
-    val = lcal_p_norm(g, np.inf)
-    assert np.isfinite(val) and val > 0
 
 
 def test_condition_report_round_trip():

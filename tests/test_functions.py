@@ -87,6 +87,8 @@ def test_catalog_lookup():
     assert get("band_bump", 1, rho=0.3).fourier_support[0, 1] == pytest.approx(0.3)
     with pytest.raises(InvalidParams):
         get("nope", 1)
+    with pytest.raises(InvalidParams, match="rho"):
+        get("band_bump", 1, rho=True)
 
 
 @pytest.mark.parametrize("make, far", [

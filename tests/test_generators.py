@@ -127,6 +127,16 @@ def test_fourier_profile_custom():
         make_generator("FourierProfile", {}, 1)
 
 
+@pytest.mark.parametrize("kind, params", [
+    ("TensorSincPower", {"a": True}),
+    ("BochnerRiesz", {"s": True}),
+    ("BochnerRiesz", {"gamma": True}),
+])
+def test_float_parameters_reject_a_bool(kind, params):
+    with pytest.raises(InvalidParams, match="True"):
+        make_generator(kind, params, 1)
+
+
 def test_unknown_kind_rejected():
     with pytest.raises(InvalidParams):
         make_generator("NoSuchThing", {}, 1)
@@ -221,9 +231,11 @@ def test_bochner_riesz_2d_quadrature_fails_by_name():
     (1, {"support": [-0.5, 0.5]}),           # a flat list, not rows
     (1, {"support": [[-0.5, np.inf]]}),      # not finite
     (2, {"support": [[-0.5, 0.5]]}),         # one row for two axes
-    (1, {"decay": "x"}),
+    (1, {"decay": "x"}),                     # decay is no parameter
     (1, {"decay": True}),
-], ids=["reversed", "flat", "infinite", "short", "decay-str", "decay-bool"])
+    (1, {"decay": 2.0}),
+], ids=["reversed", "flat", "infinite", "short", "decay-str", "decay-bool",
+        "decay-number"])
 def test_fourier_profile_inputs_checked(dim, params):
     name = "support" if "support" in params else "decay"
     with pytest.raises(InvalidParams, match=name):

@@ -34,6 +34,13 @@ BASE_CONFIG = {
 }
 
 
+# the catalog entry a parameter name needs where the base config's lacks it
+TAKES = {"beta": ("operator.analyzer", "DiracDerivative"),
+         "a": ("operator.generator", "TensorSincPower"),
+         "s": ("operator.generator", "BochnerRiesz"),
+         "rho": ("function.name", "band_bump")}
+
+
 def _cfg(**overrides):
     data = json.loads(json.dumps(BASE_CONFIG))
     for path, value in overrides.items():
@@ -163,13 +170,29 @@ def test_config_boolean_levels_rejected():
     ("experiment.with_best_approx", None),
     ("experiment.levels", [3, 3]),
     ("experiment.levels", [1, 2, 1]),
+    ("operator.generator_params", {"a": True}),
+    ("operator.generator_params", {"s": True, "gamma": True}),
+    ("function.params", {"rho": True}),
 ])
 def test_config_non_numeric_field(field, value):
     overrides = {field: value}
-    if isinstance(value, dict) and "beta" in value:
-        overrides["operator.analyzer"] = "DiracDerivative"
+    for name in value if isinstance(value, dict) else ():
+        if name in TAKES:
+            overrides.update([TAKES[name]])
     with pytest.raises(ConfigError, match=field):
         _cfg(**overrides)
+
+
+@pytest.mark.parametrize("data, message", [
+    ([], "config must be"),
+    ("x", "config must be"),
+    (None, "config must be"),
+    ({**BASE_CONFIG, "operator": []}, "section 'operator' must be"),
+    ({**BASE_CONFIG, "experiment": "x"}, "section 'experiment' must be"),
+])
+def test_config_not_an_object(data, message):
+    with pytest.raises(ConfigError, match=f"{message} a JSON object"):
+        ExperimentConfig.from_dict(data)
 
 
 def test_config_flags_and_order_load():

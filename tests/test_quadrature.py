@@ -348,6 +348,19 @@ def test_grid_lp_norm_matches_closed_form():
     assert grid_lp_norm(vals, vol, np.inf) == pytest.approx(1.0, rel=1e-3)
 
 
+@pytest.mark.parametrize("vals, p, want", [
+    (np.full(100, 1e-7), 50, 1e-7),  # 1e-7 ** 50 underflows to 0
+    (np.full(100, 10.0), 400, 10.0),  # 10 ** 400 overflows to inf
+    (np.full(100, 10.0), 1e308, 10.0),
+    ([], 2, 0.0),
+    ([0.0, 0.0], 2, 0.0),
+    ([np.inf, 1.0], 2, np.inf),
+])
+def test_grid_lp_norm_scales_by_the_largest_value(vals, p, want):
+    # 100 cells of volume 0.01: the norm of a constant is that constant
+    assert grid_lp_norm(vals, 0.01, p) == want
+
+
 def test_as_points_shapes():
     pts, scalar = as_points(0.5, 1)
     assert scalar and pts.shape == (1, 1)

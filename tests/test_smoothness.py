@@ -3,21 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from quasiproj.conditions import lcal_p_norm
-from quasiproj.errors import InvalidParams, UnsupportedInput
+from quasiproj.errors import InvalidParams, QuadratureFailure, UnsupportedInput
 from quasiproj.functions import (PROFILE_TOL, TestFunction, band_bump,
                                  gaussian, hat_tensor, translate)
 from quasiproj import quadrature
-from quasiproj.generators import make_generator
 from quasiproj.quadrature import (GridSpec, fourier_sum, gauss_nodes_box,
                                   grid_lp_norm, split_box, transform)
 from quasiproj.quasiprojection import error_lp
 from quasiproj import smoothness
 from quasiproj.lattice import map_box
-from quasiproj.smoothness import (ModulusSpec, best_approx, besov_partial_norm,
-                                  difference, eta_profile, fractional_difference,
-                                  fractional_laplacian, modulus,
-                                  spectrum_tail_mass, step_net)
+from quasiproj.smoothness import (ModulusSpec, best_approx, difference,
+                                  eta_profile, fractional_difference,
+                                  fractional_laplacian, modulus, step_net)
 
 BOX = np.array([[-8.0, 8.0]])
 
@@ -216,14 +213,23 @@ def test_best_approx_gaussian_tail_closed_form(j):
 
 @pytest.mark.parametrize("a", [1.0, 2.0])
 def test_spectrum_tail_mass_2d_gaussian_slab_sum(a):
-    # bands 2I and 4I: off the band [-a, a]^2 in [-9, 9]^2 are the slab with
-    # the first axis outside the band, and the one with it inside and the
-    # second axis outside
+    # best approximation at p = 2 under 2aI is the root of the mass of
+    # |f^|^2 off the band [-a, a]^2 in [-9, 9]^2: the slab with the first
+    # axis outside the band, and the one with it inside and the second
+    # axis outside
     out, inside, whole = (2 * _gaussian_mass(a, 9.0), 2 * _gaussian_mass(0.0, a),
                           2 * _gaussian_mass(0.0, 9.0))
     want = out * whole + inside * out
-    got = spectrum_tail_mass(gaussian(2), [[-a, a]] * 2)
-    assert got == pytest.approx(want, rel=1e-13, abs=0)
+    got = best_approx(gaussian(2), 2 * a * np.eye(2), 2, [[-4.0, 4.0]] * 2, 8)
+    assert got == pytest.approx(math.sqrt(want), rel=1e-13, abs=0)
+
+
+def test_best_approx_3d_gaussian_tail_closed_form():
+    # off the band [-1, 1]^3 of 2I: the whole mass T^3 less the band's I^3
+    whole, inside = 2 * _gaussian_mass(0.0, 9.0), 2 * _gaussian_mass(0.0, 1.0)
+    got = best_approx(gaussian(3), 2 * np.eye(3), 2, [[-4.0, 4.0]] * 3, 8)
+    assert got == pytest.approx(math.sqrt(whole ** 3 - inside ** 3),
+                                rel=1e-13, abs=0)
 
 
 def _volume(box):
@@ -235,31 +241,45 @@ def _meet(a, b):
                             np.minimum(a[:, 1], b[:, 1])])
 
 
-@pytest.mark.parametrize("band, slabs", [
-    ([[-1.0, 1.0]] * 3, 6),
-    ([[-1.0, 1.0], [-20.0, 0.5], [2.0, 3.0]], 5),  # wider than the support
-    ([[-1.0, 1.0], [10.0, 11.0], [-1.0, 1.0]], 3),  # misses it on axis 1
-])
-def test_spectrum_tail_mass_3d_integrates_slabs(monkeypatch, band, slabs):
+@pytest.mark.parametrize("A, cells", [
+    (2 * np.eye(3), 26),
+    (np.diag([2.0, 40.0, 2.0]), 8),  # wider than the support on axis 1
+    ([[2.0, 1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 3.0]], 26),  # bounding box
+], ids=["2I", "wide-axis-1", "non-diagonal"])
+def test_best_approx_p2_3d_integrates_tail_cells(monkeypatch, A, cells):
     f = gaussian(3)
-    boxes = []
+    boxes = {}
     rule = quadrature.gauss_nodes_box
 
     def spy(box, order):
-        boxes.append(np.asarray(box, dtype=float))
+        boxes.setdefault(order, []).append(np.asarray(box, dtype=float))
         return rule(box, 4)  # the boxes are under test, not the rule
 
     monkeypatch.setattr(smoothness, "gauss_nodes_box", spy)
-    spectrum_tail_mass(f, band)
+    best_approx(f, A, 2, [[-4.0, 4.0]] * 3, 8)
     support = f.fourier_support
-    inside = _meet(support, np.array(band))
-    assert len(boxes) == slabs
-    assert sum(map(_volume, boxes)) == pytest.approx(
+    inside = _meet(support, map_box(np.transpose(A), [[-0.5, 0.5]] * 3))
+    assert list(boxes) == [32, 64]  # order 4 at both: converged at once
+    assert all(np.array_equal(a, b) for a, b in zip(boxes[32], boxes[64]))
+    assert len(boxes[32]) == cells
+    assert sum(map(_volume, boxes[32])) == pytest.approx(
         _volume(support) - _volume(inside), rel=1e-14)
-    for i, b in enumerate(boxes):
+    for i, b in enumerate(boxes[32]):
         assert np.array_equal(_meet(b, support), b)
         assert _volume(_meet(b, inside)) == 0
-        assert all(_volume(_meet(b, c)) == 0 for c in boxes[:i])
+        assert all(_volume(_meet(b, c)) == 0 for c in boxes[32][:i])
+
+
+def test_best_approx_p2_jump_in_a_tail_cell_fails_by_name():
+    # f^ = 1 on |xi| <= 0.3 within [-0.5, 0.5] jumps inside the tail cells
+    # of the band [-0.2, 0.2], so no Gauss order up to the 1-D cap reaches
+    # the tolerance (the exact tail is sqrt(0.2))
+    f = TestFunction(name="jump", dim=1, spatial=None,
+                     fourier=lambda xi: np.where(np.abs(xi[:, 0]) <= 0.3,
+                                                 1.0, 0.0),
+                     fourier_support=np.array([[-0.5, 0.5]]))
+    with pytest.raises(QuadratureFailure, match="best approximation"):
+        best_approx(f, [[0.4]], 2, BOX, 64)
 
 
 def test_best_approx_monotone_in_band():
@@ -410,23 +430,18 @@ def _metric(name, p):
         "modulus": lambda: modulus(f, ModulusSpec(order=2, matrix=[[0.5]], p=p),
                                    BOX, 64),
         "best_approx": lambda: best_approx(f, np.array([[2.0]]), p, BOX, 64),
-        "lcal_p_norm": lambda: lcal_p_norm(
-            make_generator("BSplineTensor", {"n": 2}, 1), p),
-        "besov_partial_norm": lambda: besov_partial_norm(
-            f, np.array([[2.0]]), lambda A: 1.0, p, 2, BOX, 64),
     }
     return calls[name]()
 
 
 @pytest.mark.parametrize("p", [0, -1, 0.5, math.nan])
-@pytest.mark.parametrize("metric", ["error_lp", "modulus", "best_approx",
-                                    "lcal_p_norm", "besov_partial_norm"])
+@pytest.mark.parametrize("metric", ["error_lp", "modulus", "best_approx"])
 def test_metrics_reject_invalid_p(metric, p):
     with pytest.raises(InvalidParams, match="p must be"):
         _metric(metric, p)
 
 
-@pytest.mark.parametrize("metric", ["lcal_p_norm", "besov_partial_norm"])
+@pytest.mark.parametrize("metric", ["error_lp", "modulus", "best_approx"])
 def test_metrics_take_inf_as_a_string(metric):
     assert _metric(metric, "inf") == _metric(metric, np.inf)
 
@@ -451,11 +466,3 @@ def test_fractional_laplacian_validation():
     from quasiproj.functions import hat_tensor
     with pytest.raises(UnsupportedInput):
         fractional_laplacian(hat_tensor(1), 1.0)
-
-
-def test_besov_partial_norm_terms_decay():
-    f = gaussian(1)
-    total, terms = besov_partial_norm(f, np.array([[2.0]]),
-                                      lambda A: 1.0, 2, 4, BOX, 512)
-    assert total > 2.0 ** -0.25  # exceeds the plain L2 norm
-    assert all(terms[i + 1] < terms[i] for i in range(len(terms) - 1))
