@@ -14,8 +14,10 @@ from quasiproj.generators import make_generator
 GENERATORS = [
     ("sinc", "TensorSincPower", {"n": 1, "a": 1.0}),
     ("sinc^3(x/4)", "TensorSincPower", {"n": 3, "a": 4.0}),
+    ("sinc^2", "TensorSincPower", {"n": 2, "a": 1.0}),
     ("spline-2", "BSplineTensor", {"n": 2}),
     ("spline-3", "BSplineTensor", {"n": 3}),
+    ("spline-8", "BSplineTensor", {"n": 8}),
     ("riesz(2,1)", "BochnerRiesz", {"s": 2.0, "gamma": 1.0}),
     ("rational", "RationalBandlimited", {}),
 ]

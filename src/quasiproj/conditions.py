@@ -1,10 +1,8 @@
 """Structural condition checkers for generator/analyzer pairs.
 
-All checks are numerical: vanishing orders are detected through central
-finite differences of the relevant Fourier profiles near the origin (the
-binomial stencil `smoothness.difference` that the moduli use), with a
-two-level Richardson sweep and a fixed zero threshold, so the reported
-orders are certificates of observed behavior rather than symbolic proofs.
+All checks are numerical certificates of observed behavior, not symbolic
+proofs: a vanishing order is a settled log-log slope of profile values on a
+ladder of radii, an identity radius a grid check on dyadic boxes.
 """
 
 from dataclasses import asdict, dataclass
@@ -12,14 +10,14 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .analyzers import AnalysisFunctional, fourier_symbol
-from .errors import InvalidParams
+from .errors import InvalidParams, QuadratureFailure
 from .generators import Generator
 from .quadrature import GridSpec
 from .smoothness import difference
 
 ZERO_TOL = 1e-7
 MAX_ORDER = 8
-DIFF_STEPS = (1e-2, 5e-3, 2.5e-3)
+SLOPE_TOL = 0.05      # a slope settles when three in a row lie this close
 STRICT_TOL = 1e-9     # strict compatibility: largest |defect| on a box
 STRICT_GRID = 64      # midpoints per axis on each dyadic box
 MIKHLIN_GRID = 48     # points per axis on each annulus' bounding box
@@ -43,49 +41,50 @@ def _defect(g: Generator, a: AnalysisFunctional):
     return defect
 
 
-def _richardson_scan(fn, dim, axis):
-    """Smallest derivative order at the origin with a nonzero (extrapolated)
-    symmetric difference quotient, up to MAX_ORDER."""
-    for order in range(1, MAX_ORDER + 1):
-        vals, raws = [], []
-        for h in DIFF_STEPS:
-            d = _central_difference(fn, np.zeros((1, dim)), order, h, axis)[0]
-            raws.append(abs(d))
-            vals.append(abs(d) / h ** order)
-        # two Richardson levels: cancels the next two even-order error terms
-        r1a = (4 * vals[1] - vals[0]) / 3.0
-        r1b = (4 * vals[2] - vals[1]) / 3.0
-        r2 = (16 * r1b - r1a) / 15.0
-        # the raw-difference floor keeps 1e-16 cancellation noise from being
-        # amplified into a fake derivative by the 1/h^order factor
-        if abs(r2) > ZERO_TOL and max(raws) > 1e-13:
-            return order
-    return MAX_ORDER + 1
+def _vanishing_order(fn, centre, what):
+    """Vanishing order of |fn| at `centre`, least over the rays centre +- r
+    e_axis and capped at MAX_ORDER + 1.
+
+    Each ray is evaluated once on r = q^i / 2, q = 2^-1/4, i < 45, and read up
+    to its first rung at or below the 1e-13 floor.  Two Richardson levels
+    cancel the O(r) and O(r^2) terms of the log-ratio slopes; the last three
+    in a row within SLOPE_TOL settle the slope s, read as floor(s + SLOPE_TOL).
+    A ray that stays at the floor from some rung on vanishes if it drops there
+    by more than q^(MAX_ORDER + 1) in one rung or unsettled; any other
+    unsettled ray (one with a NaN, too) raises QuadratureFailure.
+    """
+    q = 2.0 ** -0.25
+    r = 0.5 * q ** np.arange(45)
+    order = MAX_ORDER + 1
+    for step in np.vstack([np.eye(centre.size), -np.eye(centre.size)]):
+        vals = np.abs(fn(centre + r[:, None] * step))
+        n = np.append(vals > 1e-13, False).argmin()  # rungs above the floor
+        floored = n < r.size and np.all(vals[n:] <= 1e-13)  # NaN is not
+        if floored and (n == 0 or vals[n - 1] * q ** (MAX_ORDER + 1) > 1e-13):
+            continue  # a drop steeper than order MAX_ORDER + 1: it vanishes
+        slope = np.diff(np.log(vals[:n])) / np.log(q)
+        for k in (1, 2):
+            slope = (slope[1:] - q ** k * slope[:-1]) / (1 - q ** k)
+        runs = [np.mean(slope[i:i + 3]) for i in range(slope.size - 2)
+                if np.ptp(slope[i:i + 3]) <= SLOPE_TOL]
+        if runs and (floored or n == r.size):
+            order = min(order, int(np.floor(runs[-1] + SLOPE_TOL)))
+        elif not floored:
+            raise QuadratureFailure(f"{what} at {centre.tolist()}: slopes "
+                                    f"did not settle within {SLOPE_TOL}")
+    return order
 
 
 def strang_fix_order(g: Generator) -> int:
-    """Largest n with phi^(0) = 1 and every derivative of phi^ up to order
-    n-1 vanishing at the nonzero integer points (per axis, symmetric scan).
-
-    Returns 0 when the normalization phi^(0) = 1 fails or some nonzero
-    integer has phi^ itself nonzero.
-    """
-    origin = np.asarray(g.fourier(np.zeros((1, g.dim))))[0]
-    if abs(origin - 1.0) > ZERO_TOL:
+    """Largest n <= MAX_ORDER + 1 with phi^ vanishing to order n at each of
+    the integer points +-e_axis; 0 when phi^(0) != 1 or phi^ is nonzero at
+    one of them."""
+    if abs(g.fourier(np.zeros((1, g.dim)))[0] - 1.0) > ZERO_TOL:
         return 0
-    best = MAX_ORDER + 1
-    for axis in range(g.dim):
-        for ell in (-1, 1):
-            center = np.zeros(g.dim)
-            center[axis] = ell
-            if abs(np.asarray(g.fourier(center[None, :]))[0]) > ZERO_TOL:
-                return 0
-
-            def shifted(pts, _c=center):
-                return g.fourier(pts + _c)
-
-            best = min(best, _richardson_scan(shifted, g.dim, axis))
-    return int(best)
+    centres = np.vstack([np.eye(g.dim), -np.eye(g.dim)])
+    if np.max(np.abs(g.fourier(centres))) > ZERO_TOL:
+        return 0
+    return min(_vanishing_order(g.fourier, c, "strang_fix") for c in centres)
 
 
 def weak_compat_order(g: Generator, a: AnalysisFunctional) -> int:
@@ -96,8 +95,7 @@ def weak_compat_order(g: Generator, a: AnalysisFunctional) -> int:
     defect = _defect(g, a)
     if abs(defect(np.zeros((1, g.dim)))[0]) > ZERO_TOL:
         return 0
-    return int(min(_richardson_scan(defect, g.dim, axis)
-                   for axis in range(g.dim)))
+    return _vanishing_order(defect, np.zeros(g.dim), "weak_compat")
 
 
 def strict_compat_radius(g: Generator, a: AnalysisFunctional) -> float:
@@ -162,9 +160,9 @@ class ConditionReport:
 
 
 def condition_report(g: Generator, a: AnalysisFunctional) -> ConditionReport:
-    """All finite-difference certificates for one generator/analyzer pair."""
-    caveats = ["orders are finite-difference certificates at threshold "
-               f"{ZERO_TOL:g}, not symbolic proofs"]
+    """All condition certificates for one generator/analyzer pair."""
+    caveats = ["orders are value slopes on a ladder of radii, settled to "
+               f"{SLOPE_TOL:g}, not symbolic proofs"]
     if not g.band_limited:
         caveats.append("generator is not band-limited; spectral checks use "
                        "its closed-form profile")

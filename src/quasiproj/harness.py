@@ -370,12 +370,12 @@ def _csv_text(report: ExperimentReport) -> str:
     import csv  # only CSV reports pay for loading it
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["level", "error", "modulus", "best_approx", "ratio"])
+    w.writerow(["level", "error", "modulus", "best_approx", "ratio", "rate",
+                "rate_residual"])
     for r in report.rows:
-        w.writerow([r.level, repr(r.error),
-                    "" if r.modulus is None else repr(r.modulus),
-                    "" if r.best_approx is None else repr(r.best_approx),
-                    "" if r.ratio is None else repr(r.ratio)])
+        w.writerow([r.level] + ["" if v is None else repr(v) for v in (
+            r.error, r.modulus, r.best_approx, r.ratio, report.rate,
+            report.rate_residual)])
     return buf.getvalue()
 
 

@@ -279,10 +279,16 @@ print(json.dumps({"code": code, "preloaded": sorted(watch & before),
 
 
 def test_emit_csv_layout():
-    text = emit(run_experiment(_cfg(**{"output.format": "csv"})), "csv")
-    lines = text.strip().split("\n")
-    assert lines[0] == "level,error,modulus,best_approx,ratio"
+    report = run_experiment(_cfg(**{"output.format": "csv"}))
+    lines = emit(report, "csv").strip().split("\n")
+    assert lines[0] == ("level,error,modulus,best_approx,ratio,rate,"
+                        "rate_residual")
     assert len(lines) == 3
+    # every row repeats the rate fit; without a fit the columns are empty
+    fit = [repr(report.rate), repr(report.rate_residual)]
+    assert all(line.split(",")[-2:] == fit for line in lines[1:])
+    single = emit(run_experiment(_cfg(**{"experiment.levels": [1]})), "csv")
+    assert single.strip().split("\n")[1].split(",")[-2:] == ["", ""]
 
 
 def test_reconstruction_check_flags_incompatible_pair():
