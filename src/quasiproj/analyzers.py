@@ -177,7 +177,7 @@ def _spectral_pairings(f, a, M, j, sites):
         return (np.asarray(f.fourier(eta @ Mj.T), dtype=complex)
                 * np.conj(fourier_symbol(a, eta)))
 
-    vals = transform(profile, [map_box(np.linalg.inv(Mj), f.fourier_support)],
+    vals = transform(profile, [map_box(M.adjoint_power(-j), f.fourier_support)],
                      target, PROFILE_TOL, "coefficient transform")
     return vals[np.ravel_multi_index((hi - sites).astype(int).T,
                                      target.counts)]

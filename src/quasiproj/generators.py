@@ -41,13 +41,13 @@ def bspline(n: int, t):
     Its Fourier transform is sinc^n.
     """
     t = np.asarray(t, dtype=float)
+    if n == 1:  # the box, half at its edges; (..)^0 would not vanish below it
+        return np.where(np.abs(t) < 0.5, 1.0, np.where(np.abs(t) == 0.5, 0.5, 0.0))
     u = t + 0.5 * n
     acc = np.zeros_like(u)
     for k in range(n + 1):
         term = np.where(u > k, np.maximum(u - k, 0.0) ** (n - 1), 0.0)
         acc += (-1) ** k * math.comb(n, k) * term
-    if n == 1:  # (..)^0 must not resurrect the region below the support
-        return np.where(np.abs(t) < 0.5, 1.0, np.where(np.abs(t) == 0.5, 0.5, 0.0))
     # outside [-n/2, n/2] the alternating sum telescopes to 0; enforce exactly
     return np.where(np.abs(t) < 0.5 * n, acc / math.factorial(n - 1), 0.0)
 

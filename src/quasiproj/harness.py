@@ -296,9 +296,9 @@ def _level_row(cfg: ExperimentConfig, level: int) -> LevelResult:
     box = np.asarray(cfg.box, dtype=float)
     err = error_lp(f, approx, cfg.p, box, cfg.grid)
     row = LevelResult(level=level, error=err)
-    A = np.linalg.inv(spec.dilation.power(level))
     if cfg.with_modulus:
-        mspec = ModulusSpec(order=cfg.modulus_order, matrix=A, p=cfg.p)
+        mspec = ModulusSpec(order=cfg.modulus_order,
+                            matrix=spec.dilation.power(-level), p=cfg.p)
         row.modulus = modulus(f, mspec, box, cfg.grid).value
         if row.modulus > 0:
             row.ratio = err / row.modulus
@@ -345,7 +345,7 @@ def reconstruction_check(spec: OperatorSpec, f, box, grid: int):
             "every dyadic spectral box")
     if f.fourier_support is None:
         raise HypothesisViolated(f"{f.name} has no declared spectrum box")
-    back = map_box(np.linalg.inv(spec.dilation.adjoint_power(spec.level)),
+    back = map_box(spec.dilation.adjoint_power(-spec.level),
                    f.fourier_support)
     if np.max(np.abs(back)) >= 0.5 * delta:
         raise HypothesisViolated(

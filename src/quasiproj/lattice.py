@@ -2,11 +2,15 @@
 
 A dilation matrix is a real d x d matrix whose eigenvalues all exceed one in
 modulus; its positive powers refine the integer lattice.  Everything downstream
-(generators, coefficients, moduli) works relative to such a matrix.
+(generators, coefficients, moduli) works relative to such a matrix.  Its
+algebra calls no LAPACK routine; eigenvalues are computed only for a
+`NotExpansive` message and for `isotropic`.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 import itertools
+import math
 
 import numpy as np
 
@@ -18,7 +22,7 @@ _ISO_RTOL = 1e-10
 
 @dataclass(frozen=True)
 class DilationMatrix:
-    """A validated expansive matrix with cached determinant and isotropy flag.
+    """A validated expansive matrix with its determinant modulus and inverse.
 
     Immutable after construction; safe to share across threads.
     """
@@ -26,18 +30,27 @@ class DilationMatrix:
     entries: np.ndarray
     dim: int
     det_abs: float
-    isotropic: bool
+    inverse: np.ndarray
 
     def power(self, j: int) -> np.ndarray:
         """Matrix power M^j; j may be negative, power(0) is the identity."""
-        return np.linalg.matrix_power(self.entries, j)
+        return np.linalg.matrix_power(
+            self.entries if j >= 0 else self.inverse, abs(j))
 
     def adjoint_power(self, j: int) -> np.ndarray:
-        return np.linalg.matrix_power(self.entries.T, j)
+        return np.linalg.matrix_power(
+            (self.entries if j >= 0 else self.inverse).T, abs(j))
 
     def is_diagonal(self) -> bool:
         off = self.entries - np.diag(np.diag(self.entries))
         return bool(np.all(off == 0.0))
+
+    @cached_property
+    def isotropic(self) -> bool:
+        """All eigenvalues have one modulus (to a relative 1e-10)."""
+        moduli = np.abs(np.linalg.eigvals(self.entries))
+        return bool(np.max(moduli) - np.min(moduli)
+                    <= _ISO_RTOL * np.max(moduli))
 
 
 def make_dilation(entries) -> DilationMatrix:
@@ -55,19 +68,67 @@ def make_dilation(entries) -> DilationMatrix:
     d = a.shape[0]
     if d > MAX_DIM:
         raise Singular(f"dimension {d} > {MAX_DIM} not supported")
-    det = np.linalg.det(a)
+    c, det, inv = _invert(a)
+    if not _expansive(c):
+        moduli = np.abs(np.linalg.eigvals(a)).tolist()  # plain floats
+        raise NotExpansive(f"eigenvalue moduli {sorted(moduli)} must all "
+                           f"exceed 1")
+    return DilationMatrix(entries=a.copy(), dim=d, det_abs=abs(det),
+                          inverse=inv)
+
+
+def inverse(a) -> np.ndarray:
+    """The inverse of a square matrix, as its adjugate over its determinant;
+    Singular if the determinant is 0 or not finite."""
+    return _invert(np.asarray(a, dtype=float))[2]
+
+
+def _invert(a):
+    """(characteristic coefficients, determinant, inverse) of a square a."""
+    c, adj = _faddeev(a)
+    det = float((-1) ** len(a) * c[-1])
     if det == 0.0 or not np.isfinite(det):
         raise Singular("matrix is singular")
-    inv = np.linalg.inv(a)
+    with np.errstate(over="ignore"):
+        inv = adj / det
     if not np.all(np.isfinite(inv)):  # denormal determinants overflow here
         raise Singular("matrix is numerically singular")
-    moduli = np.abs(np.linalg.eigvals(a)).tolist()  # plain floats for the message
-    # Expansivity is equivalent to spectral radius of M^{-1} below 1.
-    if np.max(np.abs(np.linalg.eigvals(inv))) >= 1.0:
-        raise NotExpansive(f"eigenvalue moduli {sorted(moduli)} must all exceed 1")
-    iso = bool(np.max(moduli) - np.min(moduli) <= _ISO_RTOL * np.max(moduli))
-    return DilationMatrix(entries=a.copy(), dim=d, det_abs=float(abs(det)),
-                          isotropic=iso)
+    return c, det, inv
+
+
+def _faddeev(a):
+    """Faddeev-LeVerrier: the coefficients [1, c_1, ..., c_d] of
+    det(lambda I - a) = lambda^d + c_1 lambda^(d-1) + ... + c_d, and adj(a).
+
+    N_k = a N_{k-1} + c_{k-1} I and c_k = -tr(a N_k) / k from N_0 = 0; then
+    adj(a) = (-1)^(d+1) N_d.  d steps of a matmul and a trace; on an integer
+    matrix every step is exact integer arithmetic."""
+    d = len(a)
+    c = [1.0]
+    n = np.zeros_like(a)
+    for k in range(1, d + 1):
+        n = a @ n + c[-1] * np.eye(d)
+        c.append(-float(np.trace(a @ n)) / k)
+    return c, (-1) ** (d + 1) * n
+
+
+def _expansive(c):
+    """Every root of lambda^d + c_1 lambda^(d-1) + ... + c_d exceeds 1 in
+    modulus: the Schur-Cohn-Jury test on the reversed polynomial
+    b(z) = 1 + c_1 z + ... + c_d z^d, whose roots are the reciprocals.
+
+    b of degree n has every root in the open unit disk iff |b_0| < |b_n| and
+    (b_n b(z) - b_0 z^n b(1/z)) / z, of degree n - 1, has too (Rouche on the
+    unit circle).  Each step rescales by a power of two, which is exact."""
+    b = list(c)
+    while len(b) > 1:
+        if not abs(b[0]) < abs(b[-1]):  # also False on nan
+            return False
+        b = [b[-1] * b[i + 1] - b[0] * b[-2 - i] for i in range(len(b) - 1)]
+        top = max(abs(x) for x in b)
+        if 0.0 < top < math.inf:
+            b = [math.ldexp(x, -math.frexp(top)[1]) for x in b]
+    return True
 
 
 def map_box(A, box):

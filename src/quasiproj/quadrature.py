@@ -239,7 +239,7 @@ def grid_fourier_sum(grid: GridSpec, axes, weights):
 
     An axis whose points x0 + h m and nodes xi0 + dxi n are exact arithmetic
     progressions with h dxi = P / K exactly, K a power of two at most
-    MAX_BLOCK, is one length-K FFT: exp(2 pi i P m n / K) depends only on
+    MAX_BLOCK, is a sum of FFTs: exp(2 pi i P m n / K) depends only on
     n mod K and P m mod K, and the remaining phases are reduced to turns
     exactly (`_turns`).  Any other axis is a dense `fourier_sum`."""
     if len(grid.axes) != len(axes):
@@ -255,7 +255,14 @@ def grid_fourier_sum(grid: GridSpec, axes, weights):
 
 def _axis_sum(x, xi, w):
     """sum_n w[n] exp(2 pi i x_m xi_n) along the first axis of w (N,) or
-    (N, R), for coordinates x (M,) and xi (N,)."""
+    (N, R), for coordinates x (M,) and xi (N,).
+
+    On the FFT route (see `grid_fourier_sum`) more than K nodes fold mod K
+    into one length-K FFT.  Fewer split by residue, n = L q + r: each r is a
+    length-K/L FFT over q, read at rows -P m mod K/L and turned by the exact
+    twiddle exp(2 pi i (P m r mod K) / K), formed in integers.  L doubles
+    while K/L still holds the N nodes and the L M twiddles cost no more
+    than one FFT (L M <= K/L)."""
     px, pxi = _progression(x), _progression(xi)
     ratio = None
     if px is not None and pxi is not None:
@@ -265,20 +272,30 @@ def _axis_sum(x, xi, w):
     if ratio is None or ratio[1] > MAX_BLOCK:
         return fourier_sum(x[:, None], xi[:, None], w)
     (x0, h), (xi0, dxi), (P, K) = px, pxi, ratio
-    m, n = np.arange(len(x), dtype=float), np.arange(len(xi), dtype=float)
+    M, N = len(x), len(xi)
+    m, n = np.arange(M, dtype=float), np.arange(N, dtype=float)
     pre = np.exp(2j * np.pi * _turns(x0, dxi, n))
     post = np.exp(2j * np.pi * (_turns(x0, xi0, 1.0) + _turns(h, xi0, m)))
-    rows = (-(P % K) * np.arange(len(x))) % K
-    w2 = w.reshape(len(xi), -1)
-    out = np.empty((len(x), w2.shape[1]), dtype=complex)
-    cols = max(1, MAX_BLOCK // max(K, len(xi)))
+    L = 1
+    while K // (2 * L) >= N and 2 * L * M <= K // (2 * L):
+        L *= 2
+    Kr = K // L
+    pm = (P % K) * np.arange(M) % K  # P m mod K, exact in integers
+    rows = -pm % Kr
+    twiddle = np.exp(2j * np.pi / K * (pm * np.arange(L)[:, None] % K))
+    w2 = w.reshape(N, -1)
+    out = np.empty((M, w2.shape[1]), dtype=complex)
+    cols = max(1, MAX_BLOCK // max(K, N))
     for j in range(0, w2.shape[1], cols):
         a = w2[:, j:j + cols] * pre[:, None]
-        if len(xi) > K:  # fold n mod K
-            a = np.concatenate([a, np.zeros((-len(xi) % K, a.shape[1]))])
+        if N > K:  # fold n mod K
+            a = np.concatenate([a, np.zeros((-N % K, a.shape[1]))])
             a = a.reshape(-1, K, a.shape[1]).sum(axis=0)
-        out[:, j:j + cols] = np.fft.fft(a, n=K, axis=0)[rows] * post[:, None]
-    return out.reshape((len(x),) + w.shape[1:])
+        acc = np.fft.fft(a[::L], n=Kr, axis=0)[rows]
+        for r in range(1, L):
+            acc += np.fft.fft(a[r::L], n=Kr, axis=0)[rows] * twiddle[r, :, None]
+        out[:, j:j + cols] = acc * post[:, None]
+    return out.reshape((M,) + w.shape[1:])
 
 
 def _progression(c):

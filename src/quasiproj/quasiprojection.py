@@ -149,7 +149,7 @@ def alias_shifts(spec: OperatorSpec, f: TestFunction):
     diff = np.stack([f.fourier_support[:, 0] - S[:, 1],
                      f.fourier_support[:, 1] - S[:, 0]], axis=1)
     Aj = spec.dilation.adjoint_power(spec.level)
-    back = map_box(np.linalg.inv(Aj), diff)
+    back = map_box(spec.dilation.adjoint_power(-spec.level), diff)
     lo = np.ceil(back[:, 0] - 1e-12).astype(int)
     hi = np.floor(back[:, 1] + 1e-12).astype(int)
     axes = [range(a, b + 1) for a, b in zip(lo, hi)]
@@ -180,6 +180,7 @@ def spectral_evaluator(spec: OperatorSpec, f: TestFunction):
         nodes_per_axis = int(min(512, max(128, 16 * width)))
     shifts = np.array(alias_shifts(spec, f), dtype=int).reshape(-1, spec.dim)
     Aj = spec.dilation.adjoint_power(spec.level)
+    Aj_inv = spec.dilation.adjoint_power(-spec.level)
     moved = shifts @ Aj.T
     nodes = None
     if len(shifts):
@@ -195,7 +196,7 @@ def spectral_evaluator(spec: OperatorSpec, f: TestFunction):
                              * h[:, None], tuple((last - first).astype(int)))
     if nodes is not None:
         pts = nodes.points
-        base = pts @ np.linalg.inv(Aj).T
+        base = pts @ Aj_inv.T
         acc = np.zeros(len(pts), dtype=complex)
         for k, m in zip(shifts, moved):
             fhat = np.asarray(f.fourier(pts + m), dtype=complex)

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import InvalidParams, UnsupportedInput
 from .functions import PROFILE_TOL, TestFunction, from_profile
 from . import quadrature
-from .lattice import map_box
+from .lattice import inverse, map_box
 from .quadrature import (ORDER_CAPS, GridSpec, converge, gauss_nodes_box,
                          grid_lp_norm, split_box, transform)
 
@@ -195,7 +195,7 @@ def best_approx(f: TestFunction, A, p, box, grid: int) -> float:
 
         return converge(root, 32, ORDER_CAPS[min(d, 3) - 1], PROFILE_TOL,
                         "best approximation")
-    Astar_inv = np.linalg.inv(A.T)
+    Astar_inv = inverse(A.T)
     target = GridSpec(box, grid)
 
     def resid(xi):

@@ -240,3 +240,17 @@ def test_fourier_profile_inputs_checked(dim, params):
     name = "support" if "support" in params else "decay"
     with pytest.raises(InvalidParams, match=name):
         make_generator("FourierProfile", {"profile": _cos2, **params}, dim)
+
+
+def test_bspline_box_values_at_and_around_its_edges():
+    # n = 1 returns the box at once: 1 inside, 1/2 on the edges, 0 outside,
+    # through the spatial B-spline and the sinc generator's profile alike
+    t = np.array([0.0, 0.5, -0.5, 1.0, -1.0,
+                  np.nextafter(0.5, 1.0), np.nextafter(0.5, 0.0),
+                  np.nextafter(-0.5, -1.0), np.nextafter(-0.5, 0.0)])
+    box = np.where(np.abs(t) < 0.5, 1.0, np.where(np.abs(t) == 0.5, 0.5, 0.0))
+    assert np.array_equal(bspline(1, t), box)
+    spline = make_generator("BSplineTensor", {"n": 1}, 1)
+    sinc = make_generator("TensorSincPower", {"n": 1, "a": 1.0}, 1)
+    assert np.array_equal(spline.spatial(t[:, None]), box)
+    assert np.array_equal(sinc.fourier(t[:, None]), box)

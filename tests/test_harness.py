@@ -278,6 +278,47 @@ print(json.dumps({"code": code, "preloaded": sorted(watch & before),
     assert got["code"] == 0 and got["added"] == []
 
 
+def test_runs_call_no_lapack_routine(tmp_path):
+    # the dilation algebra is computed in the package: with the LAPACK
+    # entry points patched to raise, every shipped rates sweep, one
+    # approximate level, both reconstructions and every check still run
+    root = Path(__file__).resolve().parent.parent
+    code = """
+import sys
+import numpy
+
+def refuse(name):
+    def call(*args, **kwargs):
+        raise RuntimeError(f"numpy.linalg.{name} called")
+    return call
+
+for name in ("inv", "det", "eigvals", "solve", "lstsq"):
+    for mod in (numpy.linalg, getattr(numpy.linalg, "_linalg", None)):
+        if mod is not None and hasattr(mod, name):
+            setattr(mod, name, refuse(name))
+from quasiproj.cli import main
+configs, out = sys.argv[1:-1], sys.argv[-1]
+for path in configs:
+    name = path.rsplit("/", 1)[-1]
+    runs = [["check", path]]
+    if name.startswith("rates_"):
+        runs.append(["rates", path])
+    if name.startswith("reconstruct_"):
+        runs.append(["reconstruct", path])
+    if name == "rates_spline_box.json":
+        runs.append(["approximate", path, "--level", "3"])
+    for argv in runs:
+        if main(argv + ["--output", out]) != 0:
+            sys.exit(f"{argv} failed")
+"""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    configs = [str(p) for p in sorted(CONFIGS.glob("*.json"))]
+    out = subprocess.run(
+        [sys.executable, "-c", code, *configs, str(tmp_path / "out.txt")],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert out.returncode == 0, out.stderr
+
+
 def test_emit_csv_layout():
     report = run_experiment(_cfg(**{"output.format": "csv"}))
     lines = emit(report, "csv").strip().split("\n")

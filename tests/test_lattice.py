@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from quasiproj.errors import NotExpansive, Singular
-from quasiproj.lattice import make_dilation
+from quasiproj.lattice import inverse, make_dilation
 
 
 def test_scalar_input_becomes_1x1():
@@ -72,3 +72,75 @@ def test_diagonal_expansive_accepted(a, b):
 def test_contractive_direction_rejected(lam):
     with pytest.raises((NotExpansive, Singular)):
         make_dilation(np.diag([lam, 2.0]))
+
+
+def _jordan3(lam):
+    return lam * np.eye(3) + np.diag([1.0, 1.0], 1)
+
+
+ALGEBRA_TABLE = {
+    "1d-2": [[2.0]], "1d-neg3": [[-3.0]], "1d-half": [[0.5]],
+    "1d-one": [[1.0]], "1d-zero": [[0.0]], "1d-nan": [[np.nan]],
+    "diag22": np.diag([2.0, 2.0]), "diag23": np.diag([2.0, 3.0]),
+    "quincunx": [[1.0, 1.0], [1.0, -1.0]],
+    "rotation": [[1.0, -1.0], [1.0, 1.0]],
+    "jordan2": [[2.0, 1.0], [0.0, 2.0]], "shear": [[1.0, 1.0], [0.0, 1.0]],
+    "swap2": [[0.0, 2.0], [1.0, 0.0]], "singular2": [[1.0, 2.0], [2.0, 4.0]],
+    "2I3": 2.0 * np.eye(3), "diag234": np.diag([2.0, 3.0, 4.0]),
+    "quincunx3": [[1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [0.0, 0.0, 2.0]],
+    "jordan3": _jordan3(2.0),
+    "companion": [[0.0, 0.0, 2.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+    "diag123": np.diag([1.0, 2.0, 3.0]),
+}
+
+
+def _random_table():
+    # seeded matrices whose eigenvalue moduli stay 1e-9 or more from 1
+    rng = np.random.default_rng(20)
+    out = {}
+    for d in (2, 3):
+        i = 0
+        while i < 12:
+            a = rng.uniform(-3.0, 3.0, (d, d))
+            if np.min(np.abs(np.abs(np.linalg.eigvals(a)) - 1.0)) >= 1e-9:
+                out[f"random{d}-{i}"] = a
+                i += 1
+    return out
+
+
+ALGEBRA_TABLE.update(_random_table())
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRA_TABLE))
+def test_dilation_algebra_matches_numpy_linalg(name):
+    a = np.asarray(ALGEBRA_TABLE[name], dtype=float)
+    with np.errstate(invalid="ignore"):  # the nan entry
+        det = np.linalg.det(a)
+    if det == 0.0 or not np.isfinite(det):
+        with pytest.raises(Singular):
+            make_dilation(a)
+        with pytest.raises(Singular):
+            inverse(a)
+        return
+    inv = inverse(a)
+    np.testing.assert_allclose(inv @ a, np.eye(len(a)), rtol=0, atol=1e-13)
+    moduli = np.abs(np.linalg.eigvals(a))
+    if np.min(moduli) <= 1.0:
+        with pytest.raises(NotExpansive):
+            make_dilation(a)
+        return
+    M = make_dilation(a)
+    assert M.det_abs == pytest.approx(abs(det), rel=1e-13)
+    np.testing.assert_array_equal(M.inverse, inv)
+    np.testing.assert_allclose(M.power(-2) @ M.power(2), np.eye(len(a)),
+                               rtol=0, atol=1e-12)
+    iso = np.max(moduli) - np.min(moduli) <= 1e-10 * np.max(moduli)
+    assert M.isotropic == iso
+
+
+def test_inverse_of_integer_matrix_is_adjugate_over_determinant():
+    # Faddeev-LeVerrier is exact on integers up to the last division
+    a = np.array([[2.0, 1.0, 0.0], [0.0, 3.0, 1.0], [1.0, 0.0, 4.0]])
+    adj = np.array([[12.0, -4.0, 1.0], [1.0, 8.0, -2.0], [-3.0, 1.0, 6.0]])
+    np.testing.assert_array_equal(inverse(a), adj / 25.0)
+    np.testing.assert_array_equal(inverse(a.T), (adj / 25.0).T)

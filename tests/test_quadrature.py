@@ -270,8 +270,9 @@ def test_grid_fourier_sum_dirichlet_kernel():
 @pytest.mark.parametrize("grid, nodes, lengths", [
     # h dxi = 1/256: P = 1, N = 64 padded to K = 256
     (([[-8.0, 8.0]], 256), ([[-2.0, 2.0]], 64), [256]),
-    # box width 12: h dxi = (3/16)(1/32) = 3/512
-    (([[-6.0, 6.0]], 64), ([[-2.0, 2.0]], 128), [512]),
+    # box width 12: h dxi = (3/16)(1/32) = 3/512; N = 128 splits into two
+    # residues of length 256 (2 x 64 twiddles <= 256)
+    (([[-6.0, 6.0]], 64), ([[-2.0, 2.0]], 128), [256, 256]),
     # h dxi = 1/64 with N = 256 > K: the weights fold mod 64
     (([[-8.0, 8.0]], 32), ([[-4.0, 4.0]], 256), [64]),
     # h = 1/6 has no short binary ratio, and the midpoints of [-0.3, 0.7]
@@ -324,6 +325,32 @@ def test_grid_fourier_sum_blocks(monkeypatch):
     assert {n for n, _ in calls} == {64} and max(phases) <= 1000
     np.testing.assert_allclose(got, fourier_sum(grid.points, nodes.points, w),
                                rtol=0, atol=1e-13 * np.max(np.abs(got)))
+    # h dxi = 1/64 with 16 nodes and 16 points: two residues of length 32
+    # in each of three column blocks
+    monkeypatch.setattr(quadrature, "MAX_BLOCK", 1024)
+    del calls[:]
+    grid = GridSpec([[-4.0, 4.0], [-8.0, 8.0]], (48, 16))
+    nodes = GridSpec([[-1.0, 1.0], [-0.125, 0.125]], (64, 16))
+    w = _gaussian_weights(nodes)
+    got = grid_fourier_sum(grid, nodes.axes, w)
+    assert calls == [(32, 16)] * 6
+    np.testing.assert_allclose(got, fourier_sum(grid.points, nodes.points, w),
+                               rtol=0, atol=1e-13 * np.max(np.abs(got)))
+
+
+def test_sinc_sweep_ffts_stay_within_the_node_window(monkeypatch):
+    # the shipped rates_sinc_box sweep at grid 1024: each level's 4096 to
+    # 9216 nodes split by residue, so no FFT passes 16384 points (it took a
+    # 65536-point FFT when the window was padded to K)
+    from quasiproj.harness import ExperimentConfig, run_experiment
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "scripts", "configs",
+                           "rates_sinc_box.json")) as fh:
+        raw = json.load(fh)
+    raw["experiment"]["grid"] = 1024
+    calls = _fft_lengths(monkeypatch)
+    run_experiment(ExperimentConfig.from_dict(raw))
+    assert calls and max(n for n, _ in calls) <= 16384
 
 
 def test_error_lp_grid_route_matches_point_route():
