@@ -8,9 +8,6 @@ conditions the error estimates require.
 """
 
 from .analyzers import AnalysisFunctional, alpha_bound, analyze, make_analyzer
-from .conditions import (condition_report, mikhlin_constant,
-                         strang_fix_order, strict_compat_radius,
-                         weak_compat_order)
 from .errors import (ConfigError, HypothesisViolated, InvalidParams,
                      NotExpansive, QuasiprojError, UnsupportedMatrix)
 from .functions import TestFunction, band_bump, gaussian, hat_tensor, sinc_tensor
@@ -24,3 +21,15 @@ from .smoothness import (ModulusSpec, best_approx, fractional_difference,
                          fractional_laplacian, modulus)
 
 __version__ = "0.1.0"
+
+# the condition certificates load on first use (PEP 562): a rates sweep
+# never calls them
+_CONDITIONS = ("condition_report", "mikhlin_constant", "strang_fix_order",
+               "strict_compat_radius", "weak_compat_order")
+
+
+def __getattr__(name):
+    if name in _CONDITIONS:
+        from . import conditions
+        return getattr(conditions, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -15,9 +15,6 @@ one `quadrature.transform` onto the site box serves every site, under any
 dilation matrix.
 """
 
-from dataclasses import dataclass, field
-from typing import Optional
-
 import numpy as np
 
 from .errors import InvalidParams, UnsupportedInput, UnsupportedMatrix
@@ -26,6 +23,7 @@ from .lattice import DilationMatrix, map_box
 from .quadrature import (MAX_BLOCK, GridSpec, as_points, converge,
                          gauss_nodes_box, split_box, transform)
 from .functions import PROFILE_TOL, TestFunction
+from .records import Frozen, Record
 
 KINDS = ("Dirac", "DiracDerivative", "BoxAverage", "MixedTensor", "KernelL1",
          "DiracPlusDerivative")
@@ -34,17 +32,20 @@ _BOX_TOL = 1e-10
 _BOX_CAP = 512
 
 
-@dataclass(frozen=True)
-class AnalysisFunctional:
-    """Tagged catalog variant of the analysis distribution/function."""
+class AnalysisFunctional(Record, Frozen):
+    """Tagged catalog variant of the analysis distribution/function.
 
-    kind: str
-    dim: int
-    beta: Optional[tuple] = None       # derivative multi-index
-    # per-axis Dirac/BoxAverage tags: MixedTensor's own, and one tag on
-    # every axis for its uniform cases Dirac and BoxAverage
-    axes: Optional[tuple] = None
-    kernel: Optional[Generator] = field(default=None, compare=False)
+    `beta` is the derivative multi-index.  `axes` holds the per-axis
+    Dirac/BoxAverage tags: MixedTensor's own, and one tag on every axis for
+    its uniform cases Dirac and BoxAverage.  Equality ignores `kernel`."""
+
+    def __init__(self, kind: str, dim: int, beta: tuple | None = None,
+                 axes: tuple | None = None, kernel: Generator | None = None):
+        vars(self).update(kind=kind, dim=dim, beta=beta, axes=axes,
+                          kernel=kernel)
+
+    def _key(self):
+        return self.kind, self.dim, self.beta, self.axes
 
 
 def make_analyzer(kind: str, dim: int = 1, beta=None, axes=None,

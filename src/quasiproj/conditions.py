@@ -5,14 +5,13 @@ proofs: a vanishing order is a settled log-log slope of profile values on a
 ladder of radii, an identity radius a grid check on dyadic boxes.
 """
 
-from dataclasses import asdict, dataclass
-
 import numpy as np
 
 from .analyzers import AnalysisFunctional, fourier_symbol
 from .errors import InvalidParams, QuadratureFailure
 from .generators import Generator
 from .quadrature import GridSpec
+from .records import Frozen, Record
 from .smoothness import difference
 
 ZERO_TOL = 1e-7
@@ -145,18 +144,21 @@ def mikhlin_constant(g: Generator, a: AnalysisFunctional) -> float:
     return best
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(Record, Frozen):
     """The condition certificates of one generator/analyzer pair."""
 
-    strang_fix: int
-    weak_compat: int
-    strict_delta: float
-    mikhlin: float
-    caveats: tuple
+    def __init__(self, strang_fix: int, weak_compat: int,
+                 strict_delta: float, mikhlin: float, caveats: tuple):
+        vars(self).update(strang_fix=strang_fix, weak_compat=weak_compat,
+                          strict_delta=strict_delta, mikhlin=mikhlin,
+                          caveats=caveats)
+
+    def _key(self):
+        return (self.strang_fix, self.weak_compat, self.strict_delta,
+                self.mikhlin, self.caveats)
 
     def to_dict(self):
-        return {**asdict(self), "caveats": list(self.caveats)}
+        return {**vars(self), "caveats": list(self.caveats)}
 
 
 def condition_report(g: Generator, a: AnalysisFunctional) -> ConditionReport:

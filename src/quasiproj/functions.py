@@ -10,28 +10,33 @@ the points asked for, whose orders depend only on those points, so a value
 does not depend on earlier calls.
 """
 
-from dataclasses import dataclass
 import numbers
-from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import InvalidParams
 from .quadrature import as_points, split_box, transform
+from .records import Record
 
 
-@dataclass
-class TestFunction:
+class TestFunction(Record):
     """A test signal: spatial values and, if known, its Fourier transform and
-    spectrum box."""
+    spectrum box.  Mutable: a caller may wrap `spatial`."""
 
     __test__ = False  # keep pytest from collecting this as a test class
+    __hash__ = None
 
-    name: str
-    dim: int
-    spatial: Callable
-    fourier: Optional[Callable] = None
-    fourier_support: Optional[np.ndarray] = None
+    def __init__(self, name: str, dim: int, spatial, fourier=None,
+                 fourier_support: np.ndarray | None = None):
+        self.name = name
+        self.dim = dim
+        self.spatial = spatial
+        self.fourier = fourier
+        self.fourier_support = fourier_support
+
+    def _key(self):
+        return (self.name, self.dim, self.spatial, self.fourier,
+                self.fourier_support)
 
     def __call__(self, x):
         pts, scalar = as_points(x, self.dim)
@@ -117,23 +122,6 @@ def sinc_tensor(dim: int = 1) -> TestFunction:
     support = np.array([[-0.5, 0.5]] * dim)
     return TestFunction(name="sinc", dim=dim, spatial=spatial, fourier=fourier,
                         fourier_support=support)
-
-
-def translate(f: TestFunction, shift) -> TestFunction:
-    """f(. - a); the profile picks up the phase exp(-2 pi i a.xi)."""
-    a = np.atleast_1d(np.asarray(shift, dtype=float))
-
-    def spatial(pts):
-        return f.spatial(pts - a)
-
-    fourier = None
-    if f.fourier is not None:
-        def fourier(pts):
-            phase = np.exp(-2j * np.pi * (pts @ a))
-            return phase * np.asarray(f.fourier(pts), dtype=complex)
-
-    return TestFunction(name=f"{f.name}_shift", dim=f.dim, spatial=spatial,
-                        fourier=fourier, fourier_support=f.fourier_support)
 
 
 # the test signals the experiment configs name: name -> (builder taking the

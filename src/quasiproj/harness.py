@@ -5,7 +5,6 @@ and a config hash in the provenance block), so byte-identical reruns are a
 testable invariant rather than an aspiration.
 """
 
-from dataclasses import asdict, dataclass, field
 import io
 import json
 
@@ -13,7 +12,6 @@ import numpy as np
 
 from . import analyzers, functions, generators
 from .analyzers import AnalysisFunctional, make_analyzer
-from .conditions import condition_report, strict_compat_radius
 from .errors import (ConfigError, HypothesisViolated, InvalidParams,
                      NonPositiveValue, NotExpansive, Singular)
 from .functions import TestFunction
@@ -22,6 +20,7 @@ from .lattice import MAX_DIM, DilationMatrix, make_dilation, map_box
 from .quadrature import GridSpec
 from .quasiprojection import (OperatorSpec, error_lp, evaluate_grid_compact,
                               evaluate_spatial, spectral_evaluator)
+from .records import Frozen, Record
 from .smoothness import ModulusSpec, best_approx, modulus
 
 # The interpreter's builtin SHA-256, the module hashlib falls back to:
@@ -37,24 +36,23 @@ except ImportError:
 
 # -- configuration -----------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class ExperimentConfig:
+class ExperimentConfig(Frozen):
     """A validated experiment: the catalog objects that fix the operator up
-    to its level, built once by `from_dict`, and the sweep to run."""
+    to its level, built once by `from_dict`, and the sweep to run.
+    Immutable; equal only to itself."""
 
-    generator: Generator
-    analyzer: AnalysisFunctional
-    dilation: DilationMatrix
-    function: TestFunction
-    levels: tuple
-    p: float
-    box: tuple
-    grid: int
-    modulus_order: float
-    with_modulus: bool
-    with_best_approx: bool
-    output_format: str
-    raw: dict = field(default_factory=dict)
+    def __init__(self, generator: Generator, analyzer: AnalysisFunctional,
+                 dilation: DilationMatrix, function: TestFunction,
+                 levels: tuple, p: float, box: tuple, grid: int,
+                 modulus_order: float, with_modulus: bool,
+                 with_best_approx: bool, output_format: str,
+                 raw: dict | None = None):
+        vars(self).update(
+            generator=generator, analyzer=analyzer, dilation=dilation,
+            function=function, levels=levels, p=p, box=box, grid=grid,
+            modulus_order=modulus_order, with_modulus=with_modulus,
+            with_best_approx=with_best_approx, output_format=output_format,
+            raw={} if raw is None else raw)
 
     @staticmethod
     def from_dict(data: dict) -> "ExperimentConfig":
@@ -263,30 +261,49 @@ def apply_operator(spec: OperatorSpec, f):
 
 # -- experiment driver -------------------------------------------------------
 
-@dataclass
-class LevelResult:
+class LevelResult(Record):
     """One report row: the error at a level and its optional references."""
 
-    level: int
-    error: float
-    modulus: float | None = None
-    best_approx: float | None = None
-    ratio: float | None = None
+    __hash__ = None
 
+    def __init__(self, level: int, error: float, modulus: float | None = None,
+                 best_approx: float | None = None, ratio: float | None = None):
+        self.level = level
+        self.error = error
+        self.modulus = modulus
+        self.best_approx = best_approx
+        self.ratio = ratio
 
-@dataclass
-class ExperimentReport:
-    """The report of a level sweep: rows, rate fit and provenance."""
-
-    config_digest: str
-    levels: list
-    rows: list
-    rate: float | None
-    rate_residual: float | None
-    provenance: dict
+    def _key(self):
+        return self.level, self.error, self.modulus, self.best_approx, self.ratio
 
     def to_dict(self):
-        return asdict(self)
+        return dict(vars(self))
+
+
+class ExperimentReport(Record):
+    """The report of a level sweep: rows, rate fit and provenance."""
+
+    __hash__ = None
+
+    def __init__(self, config_digest: str, levels: list, rows: list,
+                 rate: float | None, rate_residual: float | None,
+                 provenance: dict):
+        self.config_digest = config_digest
+        self.levels = levels
+        self.rows = rows
+        self.rate = rate
+        self.rate_residual = rate_residual
+        self.provenance = provenance
+
+    def _key(self):
+        return (self.config_digest, self.levels, self.rows, self.rate,
+                self.rate_residual, self.provenance)
+
+    def to_dict(self):
+        return {**vars(self), "levels": list(self.levels),
+                "rows": [r.to_dict() for r in self.rows],
+                "provenance": dict(self.provenance)}
 
 
 def _level_row(cfg: ExperimentConfig, level: int) -> LevelResult:
@@ -338,6 +355,7 @@ def reconstruction_check(spec: OperatorSpec, f, box, grid: int):
     HypothesisViolated.  Returns the spectral sup error on the grid and the
     spatial truncated-sum errors along the radius ladder.
     """
+    from .conditions import strict_compat_radius
     delta = strict_compat_radius(spec.generator, spec.analyzer)
     if delta == 0.0:
         raise HypothesisViolated(
@@ -389,4 +407,5 @@ def emit(report: ExperimentReport, fmt: str = "json") -> str:
 
 
 def condition_summary(cfg: ExperimentConfig) -> dict:
+    from .conditions import condition_report
     return condition_report(cfg.generator, cfg.analyzer).to_dict()

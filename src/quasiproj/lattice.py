@@ -7,7 +7,6 @@ algebra calls no LAPACK routine; eigenvalues are computed only for a
 `NotExpansive` message and for `isotropic`.
 """
 
-from dataclasses import dataclass
 from functools import cached_property
 import itertools
 import math
@@ -15,22 +14,26 @@ import math
 import numpy as np
 
 from .errors import NotExpansive, Singular
+from .records import Frozen, Record
 
 MAX_DIM = 3
 _ISO_RTOL = 1e-10
 
 
-@dataclass(frozen=True)
-class DilationMatrix:
+class DilationMatrix(Record, Frozen):
     """A validated expansive matrix with its determinant modulus and inverse.
 
-    Immutable after construction; safe to share across threads.
+    Immutable after construction; safe to share across threads.  Equal to a
+    DilationMatrix with the same values.
     """
 
-    entries: np.ndarray
-    dim: int
-    det_abs: float
-    inverse: np.ndarray
+    def __init__(self, entries: np.ndarray, dim: int, det_abs: float,
+                 inverse: np.ndarray):
+        vars(self).update(entries=entries, dim=dim, det_abs=det_abs,
+                          inverse=inverse)
+
+    def _key(self):
+        return self.entries, self.dim, self.det_abs, self.inverse
 
     def power(self, j: int) -> np.ndarray:
         """Matrix power M^j; j may be negative, power(0) is the identity."""

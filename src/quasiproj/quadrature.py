@@ -10,7 +10,6 @@ on cells of its support, summed by `fourier_sum` at arbitrary points or by
 `grid_fourier_sum` onto a midpoint grid (`GridSpec`), axis by axis.
 """
 
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
 import itertools
 import math
@@ -19,6 +18,7 @@ import numbers
 import numpy as np
 
 from .errors import InvalidParams, QuadratureFailure
+from .records import Frozen
 
 # largest rows x nodes block a vectorized sum builds at once
 MAX_BLOCK = 4_000_000
@@ -120,19 +120,6 @@ def converge(evaluate, start, cap, tol, what):
     raise QuadratureFailure(f"{what} did not reach tol={tol} at order {cap}")
 
 
-def integrate_box(func, box, tol=1e-10, start_order=16, max_order=1024):
-    """Adaptive tensor Gauss-Legendre integral of `func` over a box.
-
-    `func` takes points of shape (n, d) and returns shape (n,).
-    """
-
-    def at(order):
-        nodes, weights = gauss_nodes_box(box, order)
-        return np.dot(func(nodes), weights)
-
-    return converge(at, start_order, max_order, tol, "box integral")
-
-
 def transform(profile, cells, target, tol, what):
     """The sum over the boxes `cells` of integral profile(xi) exp(2 pi i x.xi)
     dxi at the rows x of target (n, d), or row-major at the points of a
@@ -187,29 +174,23 @@ def fourier_sum(pts, nodes, weights):
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class GridSpec:
+class GridSpec(Frozen):
     """Midpoint grid over a box (d, 2): `grid` cells on every axis, or one
-    count per axis; each count must be an integer >= 1."""
+    count per axis; each count must be an integer >= 1.  Immutable; equal
+    only to itself."""
 
-    box: np.ndarray
-    grid: int | tuple
-    counts: tuple = field(init=False, repr=False)
-
-    def __post_init__(self):
-        box = np.array(self.box, dtype=float)
+    def __init__(self, box, grid):
+        box = np.array(box, dtype=float)
         box.setflags(write=False)
-        object.__setattr__(self, "box", box)
-        counts = (tuple(self.grid) if isinstance(self.grid, (tuple, list,
-                                                            np.ndarray))
-                  else (self.grid,) * len(box))
+        counts = (tuple(grid) if isinstance(grid, (tuple, list, np.ndarray))
+                  else (grid,) * len(box))
         if len(counts) != len(box) or not all(
                 isinstance(n, numbers.Integral) and not isinstance(n, bool)
                 and n >= 1 for n in counts):
             raise InvalidParams(f"grid counts must be integers >= 1, one or "
-                                f"one per axis of {len(box)}, got "
-                                f"{self.grid!r}")
-        object.__setattr__(self, "counts", tuple(int(n) for n in counts))
+                                f"one per axis of {len(box)}, got {grid!r}")
+        vars(self).update(box=box, grid=grid,
+                          counts=tuple(int(n) for n in counts))
 
     @cached_property
     def steps(self):
@@ -360,16 +341,15 @@ def grid_lp_norm(values, cell_volume: float, p) -> float:
 
 
 def as_points(x, dim: int):
-    """Normalize point input to shape (n, d); returns (points, scalar_flag)."""
+    """Normalize point input to shape (..., d), a point per row; in 1-D a
+    scalar or a vector of points too.  Returns (points, scalar_flag); a last
+    axis of any other length than d is a ValueError."""
     a = np.asarray(x, dtype=float)
-    if dim == 1:
-        if a.ndim == 0:
-            return a.reshape(1, 1), True
-        if a.ndim == 1:
-            return a.reshape(-1, 1), False
-        return a, False
+    if dim == 1 and a.ndim < 2:
+        return a.reshape(-1, 1), a.ndim == 0
+    coords = a.shape[-1] if a.ndim else 1
+    if coords != dim:
+        raise ValueError(f"point has {coords} coords, expected {dim}")
     if a.ndim == 1:
-        if a.shape[0] != dim:
-            raise ValueError(f"point has {a.shape[0]} coords, expected {dim}")
         return a.reshape(1, dim), True
     return a, False

@@ -14,7 +14,6 @@ evaluates either at arbitrary points or, handed a `GridSpec`, on that grid
 axis by axis.
 """
 
-from dataclasses import dataclass
 import itertools
 import math
 import numbers
@@ -29,23 +28,24 @@ from .lattice import DilationMatrix, map_box
 from . import quadrature
 from .quadrature import (GridSpec, as_points, fourier_sum, grid_fourier_sum,
                          grid_lp_norm)
+from .records import Frozen, Record
 
 
-@dataclass(frozen=True)
-class OperatorSpec:
+class OperatorSpec(Record, Frozen):
     """The operator Q_j: generator, analyzer, dilation and level j."""
 
-    generator: Generator
-    analyzer: AnalysisFunctional
-    dilation: DilationMatrix
-    level: int = 0
-
-    def __post_init__(self):
-        dims = {self.generator.dim, self.analyzer.dim, self.dilation.dim}
+    def __init__(self, generator: Generator, analyzer: AnalysisFunctional,
+                 dilation: DilationMatrix, level: int = 0):
+        dims = {generator.dim, analyzer.dim, dilation.dim}
         if len(dims) != 1:
             raise InvalidParams(f"dimension mismatch: {dims}")
-        if self.level < 0:
-            raise InvalidParams(f"level must be >= 0, got {self.level}")
+        if level < 0:
+            raise InvalidParams(f"level must be >= 0, got {level}")
+        vars(self).update(generator=generator, analyzer=analyzer,
+                          dilation=dilation, level=level)
+
+    def _key(self):
+        return self.generator, self.analyzer, self.dilation, self.level
 
     @property
     def dim(self):

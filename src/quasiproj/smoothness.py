@@ -11,7 +11,6 @@ fractional one is the multiplier (1 - e^{2 pi i h.xi})^s on the signal's
 profile (`fractional_difference`), so no series is cut.
 """
 
-from dataclasses import dataclass
 import math
 
 import numpy as np
@@ -22,33 +21,34 @@ from . import quadrature
 from .lattice import inverse, map_box
 from .quadrature import (ORDER_CAPS, GridSpec, converge, gauss_nodes_box,
                          grid_lp_norm, split_box, transform)
+from .records import Frozen, Record
 
 DIRECTIONS = 16          # angular directions of the step net in 2-D
 RADII = 6                # radius ladder 1 - 2^-i, i = 1..RADII
 
 
-@dataclass(frozen=True)
-class ModulusSpec:
+class ModulusSpec(Record, Frozen):
     """The order, step matrix and exponent p of a modulus of smoothness."""
 
-    order: float
-    matrix: np.ndarray
-    p: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix",
-                           np.atleast_2d(np.asarray(self.matrix, dtype=float)))
-        if not 0 < self.order < math.inf:
+    def __init__(self, order: float, matrix: np.ndarray, p: float):
+        matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
+        if not 0 < order < math.inf:
             raise InvalidParams(f"modulus order must be finite and > 0, "
-                                f"got {self.order}")
+                                f"got {order}")
+        vars(self).update(order=order, matrix=matrix, p=p)
+
+    def _key(self):
+        return self.order, self.matrix, self.p
 
 
-@dataclass(frozen=True)
-class ModulusResult:
+class ModulusResult(Record, Frozen):
     """A modulus value and the number of steps it took the sup over."""
 
-    value: float
-    net_size: int
+    def __init__(self, value: float, net_size: int):
+        vars(self).update(value=value, net_size=net_size)
+
+    def _key(self):
+        return self.value, self.net_size
 
 
 def difference(fn, x, h, s):

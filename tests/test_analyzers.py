@@ -10,7 +10,9 @@ from quasiproj.errors import (InvalidParams, UnsupportedInput,
 from quasiproj.functions import band_bump, gaussian, hat_tensor, sinc_tensor
 from quasiproj.generators import make_generator
 from quasiproj.lattice import make_dilation
-from quasiproj.quadrature import MAX_BLOCK, integrate_box
+from quasiproj.quadrature import MAX_BLOCK
+
+from helpers import integrate_box
 
 
 def test_make_analyzer_validation():

@@ -5,9 +5,11 @@ import pytest
 
 from quasiproj.errors import InvalidParams
 from quasiproj.functions import (band_bump, gaussian, get, hat_tensor,
-                                 sinc_tensor, translate)
-from quasiproj.quadrature import integrate_box, transform
+                                 sinc_tensor)
+from quasiproj.quadrature import transform
 from quasiproj.smoothness import fractional_laplacian
+
+from helpers import integrate_box, translate
 
 
 def _assert_matches_profile(f):

@@ -7,7 +7,9 @@ from hypothesis import given, strategies as st
 from quasiproj.errors import InvalidParams, QuadratureFailure
 from quasiproj.functions import from_profile
 from quasiproj.generators import bspline, make_generator
-from quasiproj.quadrature import GridSpec, integrate_box
+from quasiproj.quadrature import GridSpec
+
+from helpers import integrate_box
 
 
 def test_bspline_values_at_zero():

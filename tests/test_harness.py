@@ -255,13 +255,15 @@ def test_digest_is_sha256_of_sorted_config(path):
 
 
 def test_rates_run_loads_neither_openssl_nor_csv():
-    # the digest takes the interpreter's builtin SHA-256, and only CSV
-    # reports import csv: a JSON rates process loads neither
+    # the digest takes the interpreter's builtin SHA-256, only CSV reports
+    # import csv, the records are plain classes and only check and
+    # reconstruct load the condition certificates: a JSON rates process
+    # loads none of them
     root = Path(__file__).resolve().parent.parent
     code = """
 import json, sys
 import numpy
-watch = {"_hashlib", "csv"}
+watch = {"_hashlib", "csv", "dataclasses", "quasiproj.conditions"}
 before = set(sys.modules)
 from quasiproj.cli import main
 code = main(["rates", sys.argv[1]])

@@ -2,8 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from quasiproj.analyzers import make_analyzer
 from quasiproj.errors import NotExpansive, Singular
+from quasiproj.generators import make_generator
 from quasiproj.lattice import inverse, make_dilation
+from quasiproj.quasiprojection import OperatorSpec
+from quasiproj.smoothness import ModulusSpec
 
 
 def test_scalar_input_becomes_1x1():
@@ -144,3 +148,41 @@ def test_inverse_of_integer_matrix_is_adjugate_over_determinant():
     adj = np.array([[12.0, -4.0, 1.0], [1.0, 8.0, -2.0], [-3.0, 1.0, 6.0]])
     np.testing.assert_array_equal(inverse(a), adj / 25.0)
     np.testing.assert_array_equal(inverse(a.T), (adj / 25.0).T)
+
+
+# one matrix per dimension, and a second one of each dimension that differs
+# from it in one entry
+RECORD_MATRICES = {
+    1: ([[2.0]], [[3.0]]),
+    2: ([[1.0, 1.0], [1.0, -1.0]], [[1.0, -1.0], [1.0, 1.0]]),
+    3: ([[1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [0.0, 0.0, 2.0]], np.diag([2.0] * 3)),
+}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_records_holding_arrays_compare_and_hash_by_value(d):
+    a, b = RECORD_MATRICES[d]
+    g = make_generator("BSplineTensor", {"n": 2}, d)
+    box = make_analyzer("BoxAverage", d)
+
+    def records(entries):
+        M = make_dilation(entries)
+        # a fresh generator would compare unequal: it has identity equality
+        return (M, OperatorSpec(g, box, M, 2),
+                ModulusSpec(order=2, matrix=M.power(-2), p=2))
+
+    for same, twin, other in zip(records(a), records(np.array(a)), records(b)):
+        assert same is not twin
+        assert same == twin and not same != twin
+        assert hash(same) == hash(twin)
+        assert same != other
+        assert len({same, twin, other}) == 2
+    # -0.0 and 0.0 are equal entries, so they must hash alike
+    neg = ModulusSpec(order=2, matrix=-np.zeros((d, d)), p=2)
+    pos = ModulusSpec(order=2, matrix=np.zeros((d, d)), p=2)
+    assert neg == pos and hash(neg) == hash(pos)
+    # a level, an order or a class of its own makes a record unequal
+    M, spec, mspec = records(a)
+    assert spec != OperatorSpec(g, box, M, 3)
+    assert mspec != ModulusSpec(order=3, matrix=mspec.matrix, p=2)
+    assert spec != M and M != mspec

@@ -16,10 +16,11 @@ from quasiproj.generators import make_generator
 from quasiproj.lattice import make_dilation
 from quasiproj.quadrature import (GridSpec, as_points, converge, fourier_sum,
                                   gauss_nodes_box, grid_fourier_sum,
-                                  grid_lp_norm, integrate_box,
-                                  split_box)
+                                  grid_lp_norm, split_box)
 from quasiproj.quasiprojection import (OperatorSpec, error_lp,
                                        spectral_evaluator)
+
+from helpers import integrate_box
 
 
 def test_gauss_constant_weight_sum():
@@ -397,3 +398,19 @@ def test_as_points_shapes():
     assert scalar and pts.shape == (1, 2)
     with pytest.raises(ValueError):
         as_points([1.0, 2.0, 3.0], 2)
+    # an array of rows must have a last axis of dim, in 1-D too
+    for shape, dim in [((2, 3), 2), ((2, 1), 2), ((3, 2), 1), ((4, 2, 3), 2),
+                       ((), 2)]:
+        with pytest.raises(ValueError, match="coords, expected"):
+            as_points(np.zeros(shape), dim)
+    pts, scalar = as_points(np.zeros((4, 5, 2)), 2)
+    assert not scalar and pts.shape == (4, 5, 2)
+    pts, scalar = as_points(np.zeros((3, 1)), 1)
+    assert not scalar and pts.shape == (3, 1)
+    # the evaluators reject such arrays instead of misreading them
+    g = make_generator("BSplineTensor", {"n": 2}, 2)
+    for shape in [(2, 3), (2, 1)]:
+        with pytest.raises(ValueError):
+            g.spatial(np.zeros(shape))
+    with pytest.raises(ValueError):
+        gaussian(1)(np.zeros((3, 2)))

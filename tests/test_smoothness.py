@@ -5,7 +5,7 @@ import pytest
 
 from quasiproj.errors import InvalidParams, QuadratureFailure, UnsupportedInput
 from quasiproj.functions import (PROFILE_TOL, TestFunction, band_bump,
-                                 gaussian, hat_tensor, translate)
+                                 gaussian, hat_tensor)
 from quasiproj import quadrature
 from quasiproj.quadrature import (GridSpec, fourier_sum, gauss_nodes_box,
                                   grid_lp_norm, split_box, transform)
@@ -15,6 +15,8 @@ from quasiproj.lattice import map_box
 from quasiproj.smoothness import (ModulusSpec, best_approx, difference,
                                   eta_profile, fractional_difference,
                                   fractional_laplacian, modulus, step_net)
+
+from helpers import translate
 
 BOX = np.array([[-8.0, 8.0]])
 
