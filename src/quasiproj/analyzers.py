@@ -9,10 +9,10 @@ sum uses synthesis atoms m^{j/2} phi(M^j x + k).
 Dirac and BoxAverage are the uniform cases of MixedTensor, whose per-axis
 tags `make_analyzer` sets, so one branch serves all three: point kinds make
 one signal call over all sites, and integral kinds share one tensor Gauss
-rule per order and one convergence test across the sites.  The
-derivative kinds are distributions, paired through the signal's spectrum:
-one `quadrature.transform` onto the site box serves every site, under any
-dilation matrix.
+rule per order and cell and one convergence test across the sites and, for
+KernelL1, its knot cells.  The derivative kinds are distributions, paired
+through the signal's spectrum: one `quadrature.transform` onto the site box
+serves every site, under any dilation matrix.
 """
 
 import numpy as np
@@ -20,16 +20,14 @@ import numpy as np
 from .errors import InvalidParams, UnsupportedInput, UnsupportedMatrix
 from .generators import Generator, as_int
 from .lattice import DilationMatrix, map_box
-from .quadrature import (MAX_BLOCK, GridSpec, as_points, converge,
-                         gauss_nodes_box, split_box, transform)
-from .functions import PROFILE_TOL, TestFunction
+from .quadrature import (MAX_BLOCK, ORDER_CAPS, PROFILE_TOL, GridSpec,
+                         as_points, converge, gauss_nodes_box, split_box,
+                         transform)
+from .functions import TestFunction
 from .records import Frozen, Record
 
 KINDS = ("Dirac", "DiracDerivative", "BoxAverage", "MixedTensor", "KernelL1",
          "DiracPlusDerivative")
-
-_BOX_TOL = 1e-10
-_BOX_CAP = 512
 
 
 class AnalysisFunctional(Record, Frozen):
@@ -140,21 +138,19 @@ def _pairings(f, a, M, j, sites):
     if a.kind in ("DiracDerivative", "DiracPlusDerivative"):
         return M.det_abs ** j * _spectral_pairings(f, a, M, j, sites)
     Minv_j = M.power(-j)
-    x = -(sites @ Minv_j.T)  # the sample points -M^{-j} k
     if a.kind == "KernelL1":
-        # piecewise over half-integer knot cells: spline-type kernels are
+        # one integral over half-integer knot cells: spline-type kernels are
         # smooth on each cell, so the doubling rule converges there
         supp = a.kernel.spatial_support
         knots = [np.arange(np.ceil(2 * lo), np.floor(2 * hi) + 1) / 2.0
                  for lo, hi in supp]
-        axes = list(range(a.dim))
-        return sum(_adaptive_box(f, Minv_j, sites, cell, axes, a.kernel)
-                   for cell in split_box(supp, knots))
+        return _adaptive_box(f, Minv_j, sites, split_box(supp, knots),
+                             list(range(a.dim)), a.kernel)
     # Dirac, BoxAverage and MixedTensor: average over the BoxAverage axes
     avg = [i for i, tag in enumerate(a.axes) if tag == "BoxAverage"]
-    if not avg:
-        return np.asarray(f.spatial(x), dtype=complex)
-    return _adaptive_box(f, Minv_j, sites, np.array([[-0.5, 0.5]] * len(avg)),
+    if not avg:  # the sample points -M^{-j} k
+        return np.asarray(f.spatial(-(sites @ Minv_j.T)), dtype=complex)
+    return _adaptive_box(f, Minv_j, sites, [np.array([[-0.5, 0.5]] * len(avg))],
                          avg)
 
 
@@ -184,29 +180,29 @@ def _spectral_pairings(f, a, M, j, sites):
                                      target.counts)]
 
 
-def _adaptive_box(f, Minv_j, sites, box, axes, kernel=None):
-    """Integrals over t in box of f(M^{-j} (t - k)), times conj(kernel(t))
-    when a kernel is given, one per site k (the rows of sites); t spans the
-    listed axes and is 0 in the others.
+def _adaptive_box(f, Minv_j, sites, cells, axes, kernel=None):
+    """Integrals over t in the boxes `cells` of f(M^{-j} (t - k)), times
+    conj(kernel(t)) when a kernel is given, one per site k (the rows of
+    sites); t spans the listed axes and is 0 in the others.
 
-    Orders double from 8 (`converge`) up to _BOX_CAP until the largest
-    change over all sites is within _BOX_TOL.  Each order evaluates f on
-    sites x nodes in blocks of at most MAX_BLOCK entries.
+    Each order takes a tensor Gauss rule per cell; `converge` doubles it from
+    8 to within PROFILE_TOL on the sums over the cells, up to ORDER_CAPS.
+    Each rule evaluates f on sites x nodes in blocks of at most MAX_BLOCK.
     """
 
     def at(order):
-        nodes, w = gauss_nodes_box(box, order)
-        t = np.zeros((w.shape[0], sites.shape[1]))
-        t[:, axes] = nodes
-        kw = 1.0 if kernel is None else np.conj(np.asarray(kernel.spatial(t)))
-        step = max(1, MAX_BLOCK // w.shape[0])
-        val = []
-        for i in range(0, sites.shape[0], step):
-            block = sites[i:i + step]
-            pts = (t[None, :, :] - block[:, None, :]) @ Minv_j.T
-            vals = np.asarray(f.spatial(pts.reshape(-1, t.shape[1])))
-            val.append(vals.reshape(block.shape[0], -1) * kw @ w)
-        return np.concatenate(val)
+        total = np.zeros(sites.shape[0], dtype=complex)
+        for cell in cells:
+            nodes, w = gauss_nodes_box(cell, order)
+            t = np.zeros((w.shape[0], sites.shape[1]))
+            t[:, axes] = nodes
+            kw = 1.0 if kernel is None else np.conj(np.asarray(kernel.spatial(t)))
+            step = max(1, MAX_BLOCK // w.shape[0])
+            for i in range(0, sites.shape[0], step):
+                pts = (t[None, :, :] - sites[i:i + step, None, :]) @ Minv_j.T
+                vals = np.asarray(f.spatial(pts.reshape(-1, t.shape[1])))
+                total[i:i + step] += vals.reshape(len(pts), -1) * kw @ w
+        return total
 
-    return converge(at, 8, _BOX_CAP, _BOX_TOL,
-                    "analyzer box integral").astype(complex)
+    return converge(at, 8, ORDER_CAPS[min(len(axes), 3) - 1], PROFILE_TOL,
+                    "analyzer box integral")

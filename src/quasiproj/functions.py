@@ -15,7 +15,7 @@ import numbers
 import numpy as np
 
 from .errors import InvalidParams
-from .quadrature import as_points, split_box, transform
+from .quadrature import PROFILE_TOL, as_points, split_box, transform
 from .records import Record
 
 
@@ -42,9 +42,6 @@ class TestFunction(Record):
         pts, scalar = as_points(x, self.dim)
         vals = self.spatial(pts)
         return complex(vals[0]) if scalar else np.asarray(vals)
-
-
-PROFILE_TOL = 1e-12  # absolute tolerance of the profile-backed evaluators
 
 
 def from_profile(name, dim, profile, support, cuts=None):

@@ -3,7 +3,8 @@
 All rules are tensor Gauss-Legendre or uniform grids; nothing is randomized,
 so repeated runs are bit-identical.  Every adaptive rule goes through one
 doubling check, `converge`, whose orders depend only on its arguments, so a
-value never depends on earlier calls.
+value never depends on earlier calls; the package's rules converge to
+PROFILE_TOL under ORDER_CAPS.
 
 `transform` is the one inverse Fourier transform of a profile: Gauss rules
 on cells of its support, summed by `fourier_sum` at arbitrary points or by
@@ -24,6 +25,8 @@ from .records import Frozen
 MAX_BLOCK = 4_000_000
 # the largest Gauss order per axis of a rule in 1, 2 and >= 3 dimensions
 ORDER_CAPS = (4096, 256, 128)
+# absolute tolerance of every adaptive rule in the package
+PROFILE_TOL = 1e-12
 
 
 # typed: 2.0 or True must not hit the cached rule of 2 or 1
@@ -189,8 +192,7 @@ class GridSpec(Frozen):
                 and n >= 1 for n in counts):
             raise InvalidParams(f"grid counts must be integers >= 1, one or "
                                 f"one per axis of {len(box)}, got {grid!r}")
-        vars(self).update(box=box, grid=grid,
-                          counts=tuple(int(n) for n in counts))
+        vars(self).update(box=box, counts=tuple(int(n) for n in counts))
 
     @cached_property
     def steps(self):
@@ -220,9 +222,10 @@ def grid_fourier_sum(grid: GridSpec, axes, weights):
 
     An axis whose points x0 + h m and nodes xi0 + dxi n are exact arithmetic
     progressions with h dxi = P / K exactly, K a power of two at most
-    MAX_BLOCK, is a sum of FFTs: exp(2 pi i P m n / K) depends only on
-    n mod K and P m mod K, and the remaining phases are reduced to turns
-    exactly (`_turns`).  Any other axis is a dense `fourier_sum`."""
+    MAX_BLOCK and no fewer than the nodes, is a sum of FFTs:
+    exp(2 pi i P m n / K) depends only on P m mod K, and the remaining
+    phases are reduced to turns exactly (`_turns`).  Any other axis is a
+    dense `fourier_sum`."""
     if len(grid.axes) != len(axes):
         raise ValueError(f"grid has {len(grid.axes)} axes, nodes {len(axes)}")
     w = np.asarray(weights, dtype=complex).reshape([len(xi) for xi in axes])
@@ -238,19 +241,20 @@ def _axis_sum(x, xi, w):
     """sum_n w[n] exp(2 pi i x_m xi_n) along the first axis of w (N,) or
     (N, R), for coordinates x (M,) and xi (N,).
 
-    On the FFT route (see `grid_fourier_sum`) more than K nodes fold mod K
-    into one length-K FFT.  Fewer split by residue, n = L q + r: each r is a
-    length-K/L FFT over q, read at rows -P m mod K/L and turned by the exact
-    twiddle exp(2 pi i (P m r mod K) / K), formed in integers.  L doubles
-    while K/L still holds the N nodes and the L M twiddles cost no more
-    than one FFT (L M <= K/L)."""
+    On the FFT route (see `grid_fourier_sum`) the nodes split by residue,
+    n = L q + r: each r is a length-K/L FFT over q, read at rows
+    -P m mod K/L and turned by the exact twiddle
+    exp(2 pi i (P m r mod K) / K), formed in integers.  L doubles while K/L
+    still holds the N nodes and the L M twiddles cost no more than one FFT
+    (L M <= K/L).  More than K nodes, a window wider than 1 / h, take the
+    dense sum."""
     px, pxi = _progression(x), _progression(xi)
     ratio = None
     if px is not None and pxi is not None:
         step, err = _two_product(px[1], pxi[1])
         if err == 0.0:
             ratio = float(step).as_integer_ratio()
-    if ratio is None or ratio[1] > MAX_BLOCK:
+    if ratio is None or ratio[1] > MAX_BLOCK or len(xi) > ratio[1]:
         return fourier_sum(x[:, None], xi[:, None], w)
     (x0, h), (xi0, dxi), (P, K) = px, pxi, ratio
     M, N = len(x), len(xi)
@@ -266,12 +270,9 @@ def _axis_sum(x, xi, w):
     twiddle = np.exp(2j * np.pi / K * (pm * np.arange(L)[:, None] % K))
     w2 = w.reshape(N, -1)
     out = np.empty((M, w2.shape[1]), dtype=complex)
-    cols = max(1, MAX_BLOCK // max(K, N))
+    cols = max(1, MAX_BLOCK // K)
     for j in range(0, w2.shape[1], cols):
         a = w2[:, j:j + cols] * pre[:, None]
-        if N > K:  # fold n mod K
-            a = np.concatenate([a, np.zeros((-N % K, a.shape[1]))])
-            a = a.reshape(-1, K, a.shape[1]).sum(axis=0)
         acc = np.fft.fft(a[::L], n=Kr, axis=0)[rows]
         for r in range(1, L):
             acc += np.fft.fft(a[r::L], n=Kr, axis=0)[rows] * twiddle[r, :, None]

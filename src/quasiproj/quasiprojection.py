@@ -14,7 +14,6 @@ evaluates either at arbitrary points or, handed a `GridSpec`, on that grid
 axis by axis.
 """
 
-import itertools
 import math
 import numbers
 
@@ -152,9 +151,7 @@ def alias_shifts(spec: OperatorSpec, f: TestFunction):
     back = map_box(spec.dilation.adjoint_power(-spec.level), diff)
     lo = np.ceil(back[:, 0] - 1e-12).astype(int)
     hi = np.floor(back[:, 1] + 1e-12).astype(int)
-    axes = [range(a, b + 1) for a, b in zip(lo, hi)]
-    ks = np.array(list(itertools.product(*axes)), dtype=int)
-    ks = ks.reshape(-1, spec.dim)  # (0, d) when an axis is empty
+    ks = _site_box(lo, np.maximum(hi - lo + 1, 0))  # (0, d) if one is empty
     moved = ks @ Aj.T
     keep = np.all((moved >= diff[:, 0] - 1e-12)
                   & (moved <= diff[:, 1] + 1e-12), axis=1)

@@ -16,11 +16,11 @@ import math
 import numpy as np
 
 from .errors import InvalidParams, UnsupportedInput
-from .functions import PROFILE_TOL, TestFunction, from_profile
+from .functions import TestFunction, from_profile
 from . import quadrature
 from .lattice import inverse, map_box
-from .quadrature import (ORDER_CAPS, GridSpec, converge, gauss_nodes_box,
-                         grid_lp_norm, split_box, transform)
+from .quadrature import (ORDER_CAPS, PROFILE_TOL, GridSpec, converge,
+                         gauss_nodes_box, grid_lp_norm, split_box, transform)
 from .records import Frozen, Record
 
 DIRECTIONS = 16          # angular directions of the step net in 2-D
@@ -32,9 +32,9 @@ class ModulusSpec(Record, Frozen):
 
     def __init__(self, order: float, matrix: np.ndarray, p: float):
         matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-        if not 0 < order < math.inf:
-            raise InvalidParams(f"modulus order must be finite and > 0, "
-                                f"got {order}")
+        if isinstance(order, bool) or not 0 < order < math.inf:
+            raise InvalidParams(f"modulus order must be a finite number > 0, "
+                                f"got {order!r}")
         vars(self).update(order=order, matrix=matrix, p=p)
 
     def _key(self):
@@ -127,7 +127,7 @@ def step_net(spec: ModulusSpec):
 def modulus(f: TestFunction, spec: ModulusSpec, box, grid: int) -> ModulusResult:
     """Sampled anisotropic modulus: max over the step net of the grid L_p
     norm of the order-s difference.  A lower estimate of the exact sup."""
-    _check_shapes(f, spec.matrix, box)
+    _check_inputs(f, spec.matrix, box, grid)
     g = GridSpec(box, grid)
     net = step_net(spec)
     s = spec.order
@@ -176,7 +176,7 @@ def best_approx(f: TestFunction, A, p, box, grid: int) -> float:
     exactly 0 and is dropped.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    _check_shapes(f, A, box)
+    _check_inputs(f, A, box, grid)
     if f.fourier is None or f.fourier_support is None:
         raise UnsupportedInput(
             f"{f.name} needs a Fourier profile for best approximation")
@@ -211,9 +211,10 @@ def best_approx(f: TestFunction, A, p, box, grid: int) -> float:
     return grid_lp_norm(vals, target.cell_volume, p)
 
 
-def _check_shapes(f: TestFunction, matrix, box):
+def _check_inputs(f: TestFunction, matrix, box, grid):
     """InvalidParams unless the matrix is d x d and the box (d, 2) for the
-    signal's dimension d."""
+    signal's dimension d, and the grid has at least 2 points per axis, as
+    `error_lp` asks."""
     d = f.dim
     if matrix.shape != (d, d):
         raise InvalidParams(f"matrix of shape {matrix.shape} does not fit the "
@@ -221,6 +222,8 @@ def _check_shapes(f: TestFunction, matrix, box):
     if np.shape(box) != (d, 2):
         raise InvalidParams(f"box of shape {np.shape(box)} does not fit the "
                             f"{d}-D signal {f.name}: expected {(d, 2)}")
+    if grid < 2:
+        raise InvalidParams(f"grid must be >= 2 per axis, got {grid}")
 
 
 def fractional_laplacian(P: TestFunction, s: float) -> TestFunction:

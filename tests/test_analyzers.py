@@ -3,14 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from quasiproj import analyzers
 from quasiproj.analyzers import (alpha_bound, analyze, fourier_symbol,
                                  make_analyzer)
-from quasiproj.errors import (InvalidParams, UnsupportedInput,
-                              UnsupportedMatrix)
-from quasiproj.functions import band_bump, gaussian, hat_tensor, sinc_tensor
+from quasiproj.errors import (InvalidParams, QuadratureFailure,
+                              UnsupportedInput, UnsupportedMatrix)
+from quasiproj.functions import (TestFunction, band_bump, gaussian,
+                                 hat_tensor, sinc_tensor)
 from quasiproj.generators import make_generator
 from quasiproj.lattice import make_dilation
-from quasiproj.quadrature import MAX_BLOCK
+from quasiproj.quadrature import MAX_BLOCK, converge, gauss_nodes_box
 
 from helpers import integrate_box
 
@@ -69,11 +71,26 @@ def test_point_sample_coefficient():
     assert c == pytest.approx(want, rel=1e-13)
 
 
+def _gauss_mass(a, b):
+    """The integral of exp(-pi u^2) over [a, b], as an erfc difference taken
+    on the side of 0 where most of [a, b] lies, so neither term cancels."""
+    if a + b < 0:
+        a, b = -b, -a
+    r = math.sqrt(math.pi)
+    return 0.5 * (math.erfc(r * a) - math.erfc(r * b))
+
+
 def test_box_average_coefficient():
-    f = gaussian(1)
-    M = make_dilation([2.0])
-    c = analyze(f, make_analyzer("BoxAverage", 1), M, 0, np.array([0]))
-    assert c == pytest.approx(math.erf(math.sqrt(math.pi) / 2), rel=1e-10)
+    # the gaussian under 2I_d: per axis, 2^{j/2} times its mass over
+    # 2^{-j} ([-1/2, 1/2] - k_axis)
+    for dim, j, k in ((1, 0, (0,)), (1, 3, (5,)), (2, 2, (1, -2))):
+        M = make_dilation(np.diag([2.0] * dim))
+        c = analyze(gaussian(dim), make_analyzer("BoxAverage", dim), M, j,
+                    np.array(k))
+        want = math.prod(2.0 ** (j / 2) * _gauss_mass(2.0 ** -j * (-0.5 - n),
+                                                      2.0 ** -j * (0.5 - n))
+                         for n in k)
+        assert c == pytest.approx(want, rel=1e-13), (dim, j, k)
 
 
 def test_derivative_coefficient_chain_rule():
@@ -218,9 +235,8 @@ def test_mixed_tensor_coefficient():
     mt = make_analyzer("MixedTensor", 2, axes=("Dirac", "BoxAverage"))
     c = analyze(f, mt, M, 0, np.array([1, 2]))
     # f factorizes: e^{-pi} times the average of e^{-pi (t-2)^2} over |t|<1/2
-    part = 0.5 * (math.erf(math.sqrt(math.pi) * 2.5)
-                  - math.erf(math.sqrt(math.pi) * 1.5))
-    assert c == pytest.approx(math.exp(-math.pi) * part, rel=1e-9)
+    part = _gauss_mass(-2.5, -1.5)
+    assert c == pytest.approx(math.exp(-math.pi) * part, rel=1e-13)
 
 
 def test_kernel_coefficient_matches_direct_integral():
@@ -233,7 +249,42 @@ def test_kernel_coefficient_matches_direct_integral():
     want = sum(integrate_box(
         lambda t: np.real(kern.spatial(t[:, 0])) * np.exp(-np.pi * t[:, 0] ** 2),
         [[a0, b0]], tol=1e-13) for a0, b0 in ((-1.0, 0.0), (0.0, 1.0)))
-    assert c == pytest.approx(want, rel=1e-9)
+    assert c == pytest.approx(want, rel=1e-12)
+
+
+def test_kernel_coefficient_is_one_converged_integral(monkeypatch):
+    # the kernel's knot cells share one doubling check, not one each
+    checks = []
+
+    def spy(*args):
+        checks.append(args[-1])
+        return converge(*args)
+
+    monkeypatch.setattr(analyzers, "converge", spy)
+    kern = make_generator("BSplineTensor", {"n": 2}, 1)
+    analyze(gaussian(1), make_analyzer("KernelL1", 1, kernel=kern),
+            make_dilation([2.0]), 0, np.array([0]))
+    assert checks == ["analyzer box integral"]
+
+
+def test_box_integral_fails_at_the_3d_order_cap(monkeypatch):
+    # a jump inside the averaging box never converges; in 3-D the rule stops
+    # at ORDER_CAPS[2] = 128 per axis (2^21 nodes), never building 256^3
+    orders = []
+
+    def spy(box, order):
+        if order > 128:
+            pytest.fail(f"Gauss order {order} above the 3-D cap")
+        orders.append(order)
+        return gauss_nodes_box(box, order)
+
+    monkeypatch.setattr(analyzers, "gauss_nodes_box", spy)
+    step = TestFunction("step", 3, lambda pts: (pts[:, 0] > 0.1) * 1.0)
+    with pytest.raises(QuadratureFailure,
+                       match=r"analyzer box integral .*tol=1e-12 at order 128"):
+        analyze(step, make_analyzer("BoxAverage", 3),
+                make_dilation(np.diag([2.0] * 3)), 0, np.zeros(3))
+    assert orders == [8, 16, 32, 64, 128]
 
 
 _KERNEL = make_generator("BSplineTensor", {"n": 2}, 2)

@@ -263,8 +263,9 @@ def test_grid_fourier_sum_dirichlet_kernel():
         got = grid_fourier_sum(grid, nodes.axes, np.ones(nodes.points.shape[0]))
         want = 1.0
         for x, (lo, hi) in zip(grid.points.T, nodes.box):
-            d = (hi - lo) / nodes.grid
-            want = want * np.sin(np.pi * nodes.grid * d * x) / np.sin(np.pi * d * x)
+            n = nodes.counts[0]
+            d = (hi - lo) / n
+            want = want * np.sin(np.pi * n * d * x) / np.sin(np.pi * d * x)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
@@ -274,8 +275,8 @@ def test_grid_fourier_sum_dirichlet_kernel():
     # box width 12: h dxi = (3/16)(1/32) = 3/512; N = 128 splits into two
     # residues of length 256 (2 x 64 twiddles <= 256)
     (([[-6.0, 6.0]], 64), ([[-2.0, 2.0]], 128), [256, 256]),
-    # h dxi = 1/64 with N = 256 > K: the weights fold mod 64
-    (([[-8.0, 8.0]], 32), ([[-4.0, 4.0]], 256), [64]),
+    # h dxi = 1/64 with N = 256 > K: a window wider than 1 / h, dense sum
+    (([[-8.0, 8.0]], 32), ([[-4.0, 4.0]], 256), []),
     # h = 1/6 has no short binary ratio, and the midpoints of [-0.3, 0.7]
     # are no exact progression: dense sums
     (([[-4.0, 4.0]], 48), ([[-2.0, 2.0]], 64), []),

@@ -74,7 +74,7 @@ def _frozen_records():
           "box", "grid", "modulus_order", "with_modulus", "with_best_approx",
           "output_format", "raw")),
         (M, ("entries", "dim", "det_abs", "inverse")),
-        (GridSpec([[-1.0, 1.0]] * 2, 4), ("box", "grid", "counts")),
+        (GridSpec([[-1.0, 1.0]] * 2, 4), ("box", "counts")),
         (OperatorSpec(g, a, M, 1), ("generator", "analyzer", "dilation",
                                     "level")),
         (ModulusSpec(order=2, matrix=M.inverse, p=2), ("order", "matrix", "p")),

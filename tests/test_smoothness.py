@@ -109,7 +109,7 @@ def test_step_net_respects_matrix():
 
 
 def test_modulus_invalid_order():
-    for order in (0, -1, float("nan"), float("inf")):
+    for order in (0, -1, float("nan"), float("inf"), True):
         with pytest.raises(InvalidParams):
             ModulusSpec(order=order, matrix=np.eye(1), p=2)
 
@@ -424,14 +424,14 @@ def test_metrics_reject_shapes_that_miss_the_signal(call, shapes):
         call()
 
 
-def _metric(name, p):
+def _metric(name, p, grid=64):
     f = gaussian(1)
     calls = {
         "error_lp": lambda: error_lp(f.spatial, lambda g: np.zeros(len(g.points)),
-                                     p, BOX, 64),
+                                     p, BOX, grid),
         "modulus": lambda: modulus(f, ModulusSpec(order=2, matrix=[[0.5]], p=p),
-                                   BOX, 64),
-        "best_approx": lambda: best_approx(f, np.array([[2.0]]), p, BOX, 64),
+                                   BOX, grid),
+        "best_approx": lambda: best_approx(f, np.array([[2.0]]), p, BOX, grid),
     }
     return calls[name]()
 
@@ -446,6 +446,14 @@ def test_metrics_reject_invalid_p(metric, p):
 @pytest.mark.parametrize("metric", ["error_lp", "modulus", "best_approx"])
 def test_metrics_take_inf_as_a_string(metric):
     assert _metric(metric, "inf") == _metric(metric, np.inf)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("metric", ["error_lp", "modulus", "best_approx"])
+def test_metrics_reject_a_one_point_grid(metric, p):
+    # one midpoint is no Riemann sum: every metric refuses it alike
+    with pytest.raises(InvalidParams, match="grid must be >= 2 per axis"):
+        _metric(metric, p, grid=1)
 
 
 def test_best_approx_needs_profile():
