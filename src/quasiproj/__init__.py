@@ -11,7 +11,7 @@ from .analyzers import AnalysisFunctional, alpha_bound, analyze, make_analyzer
 from .errors import (ConfigError, HypothesisViolated, InvalidParams,
                      NotExpansive, QuasiprojError, UnsupportedMatrix)
 from .functions import TestFunction, band_bump, gaussian, hat_tensor, sinc_tensor
-from .generators import Generator, make_generator
+from .generators import make_generator
 from .harness import (ExperimentConfig, ExperimentReport, emit, rate_fit,
                       reconstruction_check, run_experiment, two_sided_ratio)
 from .lattice import DilationMatrix, make_dilation

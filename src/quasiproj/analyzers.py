@@ -18,7 +18,7 @@ serves every site, under any dilation matrix.
 import numpy as np
 
 from .errors import InvalidParams, UnsupportedInput, UnsupportedMatrix
-from .generators import Generator, as_int
+from .generators import as_int
 from .lattice import DilationMatrix, map_box
 from .quadrature import (MAX_BLOCK, ORDER_CAPS, PROFILE_TOL, GridSpec,
                          as_points, converge, gauss_nodes_box, split_box,
@@ -38,7 +38,8 @@ class AnalysisFunctional(Record, Frozen):
     its uniform cases Dirac and BoxAverage.  Equality ignores `kernel`."""
 
     def __init__(self, kind: str, dim: int, beta: tuple | None = None,
-                 axes: tuple | None = None, kernel: Generator | None = None):
+                 axes: tuple | None = None,
+                 kernel: TestFunction | None = None):
         vars(self).update(kind=kind, dim=dim, beta=beta, axes=axes,
                           kernel=kernel)
 
@@ -47,7 +48,7 @@ class AnalysisFunctional(Record, Frozen):
 
 
 def make_analyzer(kind: str, dim: int = 1, beta=None, axes=None,
-                  kernel: Generator | None = None) -> AnalysisFunctional:
+                  kernel: TestFunction | None = None) -> AnalysisFunctional:
     if kind not in KINDS:
         raise InvalidParams(f"unknown analyzer kind {kind!r}; choose from {KINDS}")
     if kind in ("DiracDerivative", "DiracPlusDerivative"):
@@ -66,8 +67,10 @@ def make_analyzer(kind: str, dim: int = 1, beta=None, axes=None,
         if len(axes) != dim or any(a not in ("Dirac", "BoxAverage") for a in axes):
             raise InvalidParams(f"MixedTensor axes {axes} must be Dirac/BoxAverage per axis")
     if kind == "KernelL1":
-        if kernel is None or kernel.spatial_support is None:
-            raise InvalidParams("KernelL1 needs a generator kernel with compact spatial support")
+        if not (isinstance(kernel, TestFunction) and kernel.dim == dim
+                and kernel.spatial_support is not None):
+            raise InvalidParams(f"KernelL1 needs a {dim}-D kernel TestFunction "
+                                f"with compact spatial support, got {kernel!r}")
     return AnalysisFunctional(kind=kind, dim=dim, beta=beta, axes=axes, kernel=kernel)
 
 
@@ -193,10 +196,13 @@ def _adaptive_box(f, Minv_j, sites, cells, axes, kernel=None):
     def at(order):
         total = np.zeros(sites.shape[0], dtype=complex)
         for cell in cells:
-            nodes, w = gauss_nodes_box(cell, order)
-            t = np.zeros((w.shape[0], sites.shape[1]))
-            t[:, axes] = nodes
-            kw = 1.0 if kernel is None else np.conj(np.asarray(kernel.spatial(t)))
+            t, w = gauss_nodes_box(cell, order)
+            if len(axes) < sites.shape[1]:  # t is 0 on the other axes
+                full = np.zeros((w.shape[0], sites.shape[1]))
+                full[:, axes] = t
+                t = full  # one copy of the nodes stays alive
+            kw = 1.0 if kernel is None else np.conj(
+                np.asarray(kernel.spatial(t), dtype=complex))
             step = max(1, MAX_BLOCK // w.shape[0])
             for i in range(0, sites.shape[0], step):
                 pts = (t[None, :, :] - sites[i:i + step, None, :]) @ Minv_j.T

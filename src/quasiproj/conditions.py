@@ -9,7 +9,7 @@ import numpy as np
 
 from .analyzers import AnalysisFunctional, fourier_symbol
 from .errors import InvalidParams, QuadratureFailure
-from .generators import Generator
+from .functions import TestFunction
 from .quadrature import GridSpec
 from .records import Frozen, Record
 from .smoothness import difference
@@ -30,7 +30,7 @@ def _central_difference(fn, x, order, h, axis):
     return difference(fn, x + 0.5 * order * e, -e, order)
 
 
-def _defect(g: Generator, a: AnalysisFunctional):
+def _defect(g: TestFunction, a: AnalysisFunctional):
     """The compatibility defect 1 - phi^ conj(symbol) as a function of points."""
 
     def defect(pts):
@@ -74,7 +74,7 @@ def _vanishing_order(fn, centre, what):
     return order
 
 
-def strang_fix_order(g: Generator) -> int:
+def strang_fix_order(g: TestFunction) -> int:
     """Largest n <= MAX_ORDER + 1 with phi^ vanishing to order n at each of
     the integer points +-e_axis; 0 when phi^(0) != 1 or phi^ is nonzero at
     one of them."""
@@ -86,7 +86,7 @@ def strang_fix_order(g: Generator) -> int:
     return min(_vanishing_order(g.fourier, c, "strang_fix") for c in centres)
 
 
-def weak_compat_order(g: Generator, a: AnalysisFunctional) -> int:
+def weak_compat_order(g: TestFunction, a: AnalysisFunctional) -> int:
     """Vanishing order of 1 - phi^ conj(symbol) at the origin (0 if the
     normalization itself fails there)."""
     if g.dim != a.dim:
@@ -97,7 +97,7 @@ def weak_compat_order(g: Generator, a: AnalysisFunctional) -> int:
     return _vanishing_order(defect, np.zeros(g.dim), "weak_compat")
 
 
-def strict_compat_radius(g: Generator, a: AnalysisFunctional) -> float:
+def strict_compat_radius(g: TestFunction, a: AnalysisFunctional) -> float:
     """Largest dyadic delta in {1, 1/2, ..., 2^-8} with
     conj(phi^) symbol = 1 throughout delta times the torus box (grid check
     on interior midpoints).  Returns 0.0 when even the smallest box fails.
@@ -114,7 +114,7 @@ def strict_compat_radius(g: Generator, a: AnalysisFunctional) -> float:
     return 0.0
 
 
-def mikhlin_constant(g: Generator, a: AnalysisFunctional) -> float:
+def mikhlin_constant(g: TestFunction, a: AnalysisFunctional) -> float:
     """Diagnostic multiplier bound for the defect 1 - phi^ conj(symbol):
     max over dyadic annuli 2^-6 <= |xi| <= 2^6 of |xi|^[gamma] |D^gamma g|
     for derivative orders up to ceil(d/2)+1, via central differences.
@@ -161,11 +161,11 @@ class ConditionReport(Record, Frozen):
         return {**vars(self), "caveats": list(self.caveats)}
 
 
-def condition_report(g: Generator, a: AnalysisFunctional) -> ConditionReport:
+def condition_report(g: TestFunction, a: AnalysisFunctional) -> ConditionReport:
     """All condition certificates for one generator/analyzer pair."""
     caveats = ["orders are value slopes on a ladder of radii, settled to "
                f"{SLOPE_TOL:g}, not symbolic proofs"]
-    if not g.band_limited:
+    if g.fourier_support is None:
         caveats.append("generator is not band-limited; spectral checks use "
                        "its closed-form profile")
     return ConditionReport(strang_fix=strang_fix_order(g),

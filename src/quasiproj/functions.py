@@ -1,10 +1,13 @@
-"""Analytic test signals with exact spatial evaluation.
+"""The function record `TestFunction`, and analytic test signals with
+exact spatial evaluation.
 
-Each entry carries an exact spatial evaluator and (when available) an exact
-Fourier profile with a declared support box.  The box is what the spectral
-paths, derivative coefficients and best-approximation integrals rely on, so
-profiles without genuine compact support (the Gaussian) declare a truncation
-box whose discarded mass is below 1e-30.
+Signals, generators (`generators.make_generator`) and analyzer kernels are
+all `TestFunction`s.  Each signal carries an exact spatial evaluator and
+(when available) an exact Fourier profile with a declared support box.  The
+box is what the spectral paths, derivative coefficients and
+best-approximation integrals rely on, so profiles without genuine compact
+support (the Gaussian) declare a truncation box whose discarded mass is
+below 1e-30.
 Signals built from a profile alone evaluate by `quadrature.transform` onto
 the points asked for, whose orders depend only on those points, so a value
 does not depend on earlier calls.
@@ -16,27 +19,26 @@ import numpy as np
 
 from .errors import InvalidParams
 from .quadrature import PROFILE_TOL, as_points, split_box, transform
-from .records import Record
 
 
-class TestFunction(Record):
-    """A test signal: spatial values and, if known, its Fourier transform and
-    spectrum box.  Mutable: a caller may wrap `spatial`."""
+class TestFunction:
+    """A function on R^d: a test signal, a generator or an analyzer kernel.
+
+    `spatial` and `fourier` take (n, d) point arrays; `fourier_support` and
+    `spatial_support` are (d, 2) boxes, or None where there is none.
+    Mutable: a caller may wrap `spatial`.  Equal only to itself."""
 
     __test__ = False  # keep pytest from collecting this as a test class
-    __hash__ = None
 
     def __init__(self, name: str, dim: int, spatial, fourier=None,
-                 fourier_support: np.ndarray | None = None):
+                 fourier_support: np.ndarray | None = None,
+                 spatial_support: np.ndarray | None = None):
         self.name = name
         self.dim = dim
         self.spatial = spatial
         self.fourier = fourier
         self.fourier_support = fourier_support
-
-    def _key(self):
-        return (self.name, self.dim, self.spatial, self.fourier,
-                self.fourier_support)
+        self.spatial_support = spatial_support
 
     def __call__(self, x):
         pts, scalar = as_points(x, self.dim)
@@ -79,8 +81,10 @@ def gaussian(dim: int = 1) -> TestFunction:
 
 def band_bump(rho: float = 0.4, dim: int = 1) -> TestFunction:
     """Band-limited bump: inverse transform of a C-infinity profile on [-rho, rho]^d."""
-    if isinstance(rho, bool) or not (isinstance(rho, numbers.Real) and rho > 0):
-        raise InvalidParams(f"band_bump needs a number rho > 0, got {rho!r}")
+    if isinstance(rho, bool) or not (isinstance(rho, numbers.Real)
+                                     and 0 < rho < np.inf):
+        raise InvalidParams(f"band_bump needs a finite number rho > 0, got "
+                            f"{rho!r}")
 
     def profile(pts):
         u = pts / rho

@@ -8,9 +8,10 @@ normalized so its value at the origin is 1.  Conventions used throughout:
   [-1/2, 1/2],
 * the torus is identified with the box [-1/2, 1/2)^d.
 
-`make_generator` branches on the kind once and builds both evaluators:
-closed forms for the sinc powers and B-splines, and for the profile-only
-kinds the test signals' inverse-Fourier evaluator `functions.from_profile`.
+`make_generator` branches on the kind once and builds the function record
+the test signals use, `functions.TestFunction`: closed forms for the sinc
+powers and B-splines, and for the profile-only kinds the signals'
+inverse-Fourier evaluator `functions.from_profile`.
 """
 
 import math
@@ -18,12 +19,11 @@ import math
 import numpy as np
 
 from .errors import InvalidParams, QuadratureFailure
-from .functions import from_profile
-from .quadrature import as_points
+from .functions import TestFunction, from_profile
 
 # kind -> its parameters and their defaults; a numeric default also sets the
-# type a value is cast to (an int one takes only integral values), None takes
-# the value as given
+# type a value is cast to (an int one takes only integral values, a float one
+# only finite ones), None takes the value as given
 PARAMS = {
     "TensorSincPower": {"n": 1, "a": 1.0},
     "BSplineTensor": {"n": 1},
@@ -52,49 +52,9 @@ def bspline(n: int, t):
     return np.where(np.abs(t) < 0.5 * n, acc / math.factorial(n - 1), 0.0)
 
 
-class Generator:
-    """A synthesis function phi with closed-form Fourier profile.
-
-    `make_generator` fixes the profile and the spatial evaluator once, as
-    callables on (n, d) point arrays.  A generator holds no mutable state,
-    so its values do not depend on earlier calls and evaluation is freely
-    concurrent.
-    """
-
-    def __init__(self, kind, params, dim, fourier_support, spatial_support,
-                 profile, spatial):
-        self.kind = kind
-        self.params = dict(params)
-        self.dim = dim
-        self.fourier_support = fourier_support
-        self.spatial_support = spatial_support
-        self._profile = profile
-        self._spatial = spatial
-
-    def __repr__(self):
-        ps = ", ".join(f"{k}={v}" for k, v in sorted(self.params.items())
-                       if not callable(v))
-        return f"Generator({self.kind}({ps}), d={self.dim})"
-
-    @property
-    def band_limited(self) -> bool:
-        return self.fourier_support is not None
-
-    def fourier(self, xi):
-        """Profile value phi^(xi); vectorized over leading axes of xi."""
-        pts, scalar = as_points(xi, self.dim)
-        vals = np.asarray(self._profile(pts), dtype=complex)
-        return complex(vals[0]) if scalar else vals
-
-    def spatial(self, x):
-        """phi(x); vectorized over leading axes of x."""
-        pts, scalar = as_points(x, self.dim)
-        vals = np.asarray(self._spatial(pts), dtype=complex)
-        return complex(vals[0]) if scalar else vals
-
-
-def make_generator(kind: str, params=None, dim: int = 1) -> Generator:
-    """Build a catalog entry, validating its parameters.
+def make_generator(kind: str, params=None, dim: int = 1) -> TestFunction:
+    """Build a catalog entry, validating its parameters: a `TestFunction`
+    named by its kind, whose `spatial` and `fourier` take (n, d) points.
 
     Catalog:
       TensorSincPower(n, a): phi = c prod sinc^n(x_v/a), c fixed by phi^(0)=1;
@@ -114,18 +74,18 @@ def make_generator(kind: str, params=None, dim: int = 1) -> Generator:
         b0 = bspline(n, 0.0)
         c = (a * b0) ** (-dim)
         half = n / (2.0 * a)
-        return Generator(
-            kind, params, dim, np.array([[-half, half]] * dim), None,
+        return TestFunction(
+            kind, dim, lambda x: c * np.prod(np.sinc(x / a) ** n, axis=-1),
             lambda xi: np.prod(bspline(n, a * xi) / b0, axis=-1),
-            lambda x: c * np.prod(np.sinc(x / a) ** n, axis=-1))
+            np.array([[-half, half]] * dim))
     if kind == "BSplineTensor":
         n = params["n"]
         if n < 1:
             raise InvalidParams(f"BSplineTensor needs n >= 1, got {n}")
-        return Generator(kind, params, dim, None,
-                         np.array([[-n / 2.0, n / 2.0]] * dim),
-                         lambda xi: np.prod(np.sinc(xi) ** n, axis=-1),
-                         lambda x: np.prod(bspline(n, x), axis=-1))
+        return TestFunction(
+            kind, dim, lambda x: np.prod(bspline(n, x), axis=-1),
+            lambda xi: np.prod(np.sinc(xi) ** n, axis=-1),
+            spatial_support=np.array([[-n / 2.0, n / 2.0]] * dim))
     if kind == "BochnerRiesz":
         s, gamma = params["s"], params["gamma"]
         if s <= 0:
@@ -138,8 +98,8 @@ def make_generator(kind: str, params=None, dim: int = 1) -> Generator:
             r = 3.0 * np.sqrt(np.sum(xi ** 2, axis=-1))
             return np.maximum(1.0 - r ** s, 0.0) ** gamma
 
-        return _profiled(kind, params, dim, profile,
-                         np.array([[-1.0 / 3.0, 1.0 / 3.0]] * dim))
+        return from_profile(kind, dim, profile,
+                            np.array([[-1.0 / 3.0, 1.0 / 3.0]] * dim))
     if kind == "RationalBandlimited":
 
         def profile(xi):
@@ -149,28 +109,20 @@ def make_generator(kind: str, params=None, dim: int = 1) -> Generator:
             out[inside] = 1.0 / denom[inside]
             return out
 
-        return _profiled(kind, params, dim, profile,
-                         np.array([[-0.5, 0.5]] * dim))
+        return from_profile(kind, dim, profile, np.array([[-0.5, 0.5]] * dim))
     profile, support = params["profile"], params["support"]
     if not callable(profile):
         raise InvalidParams("FourierProfile needs a callable 'profile'")
-    try:
-        box = None if support is None else as_box(support, dim)
-    except ValueError as exc:
-        raise InvalidParams(f"FourierProfile support {exc}") from None
-    return _profiled(kind, {"profile": profile}, dim, profile, box)
-
-
-def _profiled(kind, params, dim, profile, box):
-    """A profile-only Generator: phi is `from_profile`'s inverse transform of
-    the profile over its support box, which a FourierProfile may lack."""
-    if box is None:
+    if support is None:  # phi is the transform over a box it lacks
         def spatial(pts):
             raise QuadratureFailure(
                 f"{kind} has no Fourier support box to integrate over")
-    else:
-        spatial = from_profile(kind, dim, profile, box).spatial
-    return Generator(kind, params, dim, box, None, profile, spatial)
+        return TestFunction(kind, dim, spatial, profile)
+    try:
+        box = as_box(support, dim)
+    except ValueError as exc:
+        raise InvalidParams(f"FourierProfile support {exc}") from None
+    return from_profile(kind, dim, profile, box)
 
 
 def as_box(value, dim):
@@ -195,6 +147,15 @@ def as_int(value) -> int:
     return int(value)
 
 
+def _finite(value) -> float:
+    """value as a finite float; a bool (float(True) is 1.0), NaN or +-inf is
+    a ValueError."""
+    x = float(value)
+    if isinstance(value, bool) or not np.isfinite(x):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return x
+
+
 def _parameters(kind, params):
     """params checked against PARAMS[kind]: known names only, and numbers
     cast to the type of their default."""
@@ -202,13 +163,9 @@ def _parameters(kind, params):
     if set(params) - set(defaults):
         raise InvalidParams(f"bad {kind} parameters {params}; it takes "
                             f"{list(defaults)}")
-    cast = {int: as_int, float: float}
+    cast = {int: as_int, float: _finite}
     try:
-        if any(isinstance(params.get(k), bool) for k, d in defaults.items()
-               if isinstance(d, float)):  # float(True) would be 1.0
-            raise ValueError("a bool is no number")
         return {k: params.get(k) if d is None else cast[type(d)](params.get(k, d))
                 for k, d in defaults.items()}
     except (TypeError, ValueError) as exc:
         raise InvalidParams(f"bad {kind} parameters {params}: {exc}") from None
-

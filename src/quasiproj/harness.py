@@ -15,9 +15,8 @@ from .analyzers import AnalysisFunctional, make_analyzer
 from .errors import (ConfigError, HypothesisViolated, InvalidParams,
                      NonPositiveValue, NotExpansive, Singular)
 from .functions import TestFunction
-from .generators import Generator, as_box, as_int, make_generator
+from .generators import as_box, as_int, make_generator
 from .lattice import MAX_DIM, DilationMatrix, make_dilation, map_box
-from .quadrature import GridSpec
 from .quasiprojection import (OperatorSpec, error_lp, evaluate_grid_compact,
                               evaluate_spatial, spectral_evaluator)
 from .records import Frozen, Record
@@ -41,7 +40,7 @@ class ExperimentConfig(Frozen):
     to its level, built once by `from_dict`, and the sweep to run.
     Immutable; equal only to itself."""
 
-    def __init__(self, generator: Generator, analyzer: AnalysisFunctional,
+    def __init__(self, generator: TestFunction, analyzer: AnalysisFunctional,
                  dilation: DilationMatrix, function: TestFunction,
                  levels: tuple, p: float, box: tuple, grid: int,
                  modulus_order: float, with_modulus: bool,
@@ -252,7 +251,8 @@ def apply_operator(spec: OperatorSpec, f):
     """
     if spec.generator.spatial_support is not None:
         return lambda g: evaluate_grid_compact(spec, f, g.points)
-    if spec.generator.band_limited and f.fourier_support is not None:
+    if (spec.generator.fourier_support is not None
+            and f.fourier_support is not None):
         return spectral_evaluator(spec, f)
     raise InvalidParams(
         "no evaluation route: need compact spatial support or band-limited "
@@ -352,8 +352,9 @@ def reconstruction_check(spec: OperatorSpec, f, box, grid: int):
     Hypotheses checked before any evaluation: the generator/analyzer pair
     must satisfy the strict compatibility identity on some dyadic box, and
     the dilated box must contain the signal's spectrum.  Violations raise
-    HypothesisViolated.  Returns the spectral sup error on the grid and the
-    spatial truncated-sum errors along the radius ladder.
+    HypothesisViolated.  Returns the spectral sup error on the grid
+    (`error_lp` at p = inf) and the spatial truncated-sum errors along the
+    radius ladder.
     """
     from .conditions import strict_compat_radius
     delta = strict_compat_radius(spec.generator, spec.analyzer)
@@ -369,11 +370,8 @@ def reconstruction_check(spec: OperatorSpec, f, box, grid: int):
         raise HypothesisViolated(
             f"signal spectrum exceeds the level-{spec.level} box scaled by "
             f"delta={delta:g}")
-    evaluator = spectral_evaluator(spec, f)
     box = np.asarray(box, dtype=float)
-    g = GridSpec(box, grid)
-    sup_err = float(np.max(np.abs(np.asarray(f.spatial(g.points), dtype=complex)
-                                  - evaluator(g))))
+    sup_err = error_lp(f, spectral_evaluator(spec, f), np.inf, box, grid)
     probe = 0.25 * (box[:, 0] + 3 * box[:, 1])[None, :]  # off-center probe
     exact = complex(np.asarray(f.spatial(probe), dtype=complex)[0])
     sums = evaluate_spatial(spec, f, probe, RADIUS_LADDER)[:, 0]

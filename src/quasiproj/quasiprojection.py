@@ -22,7 +22,6 @@ import numpy as np
 from .analyzers import AnalysisFunctional, analyze, fourier_symbol
 from .errors import InvalidParams, UnsupportedInput
 from .functions import TestFunction
-from .generators import Generator
 from .lattice import DilationMatrix, map_box
 from . import quadrature
 from .quadrature import (GridSpec, as_points, fourier_sum, grid_fourier_sum,
@@ -33,7 +32,7 @@ from .records import Frozen, Record
 class OperatorSpec(Record, Frozen):
     """The operator Q_j: generator, analyzer, dilation and level j."""
 
-    def __init__(self, generator: Generator, analyzer: AnalysisFunctional,
+    def __init__(self, generator: TestFunction, analyzer: AnalysisFunctional,
                  dilation: DilationMatrix, level: int = 0):
         dims = {generator.dim, analyzer.dim, dilation.dim}
         if len(dims) != 1:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,11 @@ def test_make_analyzer_validation():
         make_analyzer("MixedTensor", 2, axes=("Dirac",))
     with pytest.raises(InvalidParams):
         make_analyzer("KernelL1", 1)  # no kernel
+    # no record, no spatial support, or one of another dimension
+    for kernel in ({}, "BSplineTensor", hat_tensor(2),
+                   make_generator("BSplineTensor", {"n": 2}, 1)):
+        with pytest.raises(InvalidParams, match="KernelL1 needs a 2-D"):
+            make_analyzer("KernelL1", 2, kernel=kernel)
 
 
 def test_fourier_symbols():
@@ -247,7 +253,7 @@ def test_kernel_coefficient_matches_direct_integral():
     c = analyze(f, a, M, 0, np.array([0]))
     # split at the hat's kink so each piece is smooth for the oracle rule
     want = sum(integrate_box(
-        lambda t: np.real(kern.spatial(t[:, 0])) * np.exp(-np.pi * t[:, 0] ** 2),
+        lambda t: kern.spatial(t) * np.exp(-np.pi * t[:, 0] ** 2),
         [[a0, b0]], tol=1e-13) for a0, b0 in ((-1.0, 0.0), (0.0, 1.0)))
     assert c == pytest.approx(want, rel=1e-12)
 
@@ -285,6 +291,25 @@ def test_box_integral_fails_at_the_3d_order_cap(monkeypatch):
         analyze(step, make_analyzer("BoxAverage", 3),
                 make_dilation(np.diag([2.0] * 3)), 0, np.zeros(3))
     assert orders == [8, 16, 32, 64, 128]
+
+
+def test_box_integral_holds_one_copy_of_the_node_set(monkeypatch):
+    # one order-64 rule over the 3-D averaging box of one site: 64^3 nodes,
+    # a 6.3 MB node set; the Gauss rule's own copy is the one the sum uses
+    monkeypatch.setattr(analyzers, "converge",
+                        lambda at, start, cap, tol, what: at(64))
+    args = (gaussian(3), make_analyzer("BoxAverage", 3),
+            make_dilation(np.diag([2.0] * 3)), 1, np.zeros(3))
+    want = analyze(*args)  # builds the cached 1-D rule outside the trace
+    tracemalloc.start()
+    try:
+        got = analyze(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    # the sum itself needs about 3.7 node sets; a second copy makes it 4.7
+    assert peak < 4.2 * 64 ** 3 * 3 * 8
 
 
 _KERNEL = make_generator("BSplineTensor", {"n": 2}, 2)

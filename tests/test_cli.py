@@ -31,7 +31,8 @@ RECONSTRUCT = {
 TAKES = {"beta": ("operator", "analyzer", "DiracDerivative"),
          "a": ("operator", "generator", "TensorSincPower"),
          "s": ("operator", "generator", "BochnerRiesz"),
-         "rho": ("function", "name", "band_bump")}
+         "rho": ("function", "name", "band_bump"),
+         "kernel": ("operator", "analyzer", "KernelL1")}
 
 
 def _write(tmp_path, data, name="cfg.json"):
@@ -157,7 +158,26 @@ def test_malformed_config_values_exit_1(tmp_path, capsys):
                                   {"a": True}, 1),
                                  ("operator", "generator_params",
                                   {"s": True, "gamma": True}, 1),
-                                 ("function", "params", {"rho": True}, 1)):
+                                 ("function", "params", {"rho": True}, 1),
+                                 # written as the JSON literals NaN, Infinity
+                                 ("operator", "generator_params",
+                                  {"a": float("nan")}, 1),
+                                 ("operator", "generator_params",
+                                  {"a": float("inf")}, 1),
+                                 ("operator", "generator_params",
+                                  {"a": -float("inf")}, 1),
+                                 ("operator", "generator_params",
+                                  {"s": float("nan")}, 1),
+                                 ("operator", "generator_params",
+                                  {"s": float("inf")}, 1),
+                                 ("operator", "generator_params",
+                                  {"s": 2.0, "gamma": float("nan")}, 1),
+                                 ("function", "params",
+                                  {"rho": float("inf")}, 1),
+                                 ("operator", "analyzer_params",
+                                  {"kernel": {}}, 1),
+                                 ("operator", "analyzer_params",
+                                  {"kernel": "BSplineTensor"}, 1)):
         data = json.loads(json.dumps(GOOD))
         data[sec][key] = value
         data["operator"]["dim"] = dim

@@ -38,7 +38,8 @@ BASE_CONFIG = {
 TAKES = {"beta": ("operator.analyzer", "DiracDerivative"),
          "a": ("operator.generator", "TensorSincPower"),
          "s": ("operator.generator", "BochnerRiesz"),
-         "rho": ("function.name", "band_bump")}
+         "rho": ("function.name", "band_bump"),
+         "kernel": ("operator.analyzer", "KernelL1")}
 
 
 def _cfg(**overrides):
@@ -173,6 +174,16 @@ def test_config_boolean_levels_rejected():
     ("operator.generator_params", {"a": True}),
     ("operator.generator_params", {"s": True, "gamma": True}),
     ("function.params", {"rho": True}),
+    ("operator.generator_params", {"a": float("nan")}),
+    ("operator.generator_params", {"a": float("inf")}),
+    ("operator.generator_params", {"a": -float("inf")}),
+    ("operator.generator_params", {"s": float("nan")}),
+    ("operator.generator_params", {"s": float("inf")}),
+    ("operator.generator_params", {"s": 2.0, "gamma": float("nan")}),
+    ("function.params", {"rho": float("inf")}),
+    ("function.params", {"rho": float("nan")}),
+    ("operator.analyzer_params", {"kernel": {}}),
+    ("operator.analyzer_params", {"kernel": "BSplineTensor"}),
 ])
 def test_config_non_numeric_field(field, value):
     overrides = {field: value}

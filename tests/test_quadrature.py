@@ -408,10 +408,10 @@ def test_as_points_shapes():
     assert not scalar and pts.shape == (4, 5, 2)
     pts, scalar = as_points(np.zeros((3, 1)), 1)
     assert not scalar and pts.shape == (3, 1)
-    # the evaluators reject such arrays instead of misreading them
+    # a function record's call rejects such arrays instead of misreading them
     g = make_generator("BSplineTensor", {"n": 2}, 2)
     for shape in [(2, 3), (2, 1)]:
         with pytest.raises(ValueError):
-            g.spatial(np.zeros(shape))
+            g(np.zeros(shape))
     with pytest.raises(ValueError):
         gaussian(1)(np.zeros((3, 2)))
