@@ -5,11 +5,12 @@ pairing of f with the rescaled functional, normalized so that the operator
 sum uses synthesis atoms m^{j/2} phi(M^j x + k).
 
 `analyze` is the one coefficient primitive.  It takes a single site or an
-(n, d) array of sites.  Point, average, mixed and kernel kinds pair in space.
-Dirac and BoxAverage are the uniform cases of MixedTensor, whose per-axis
-tags `make_analyzer` sets, so one branch serves all three: point kinds make
-one signal call over all sites, and integral kinds share one tensor Gauss
-rule per order and cell and one convergence test across the sites and, for
+(n, d) array of sites.  Point, average, mixed and kernel kinds pair in space:
+samples or averages of f(x_k + M^{-j} t) about x_k = -M^{-j} k.  Dirac and
+BoxAverage are the uniform cases of MixedTensor, whose per-axis tags
+`make_analyzer` sets, so one branch serves all three: point kinds make one
+signal call over all sites, and integral kinds share one tensor Gauss rule
+per order and cell and one convergence test across the sites and, for
 KernelL1, its knot cells.  The derivative kinds are distributions, paired
 through the signal's spectrum: one `quadrature.transform` onto the site box
 serves every site, under any dilation matrix.
@@ -123,7 +124,8 @@ def analyze(f: TestFunction, a: AnalysisFunctional, M: DilationMatrix,
     """Coefficients of f at level j on lattice sites k.
 
     k is one site, shape (d,) (a scalar in 1-D), giving a complex, or an
-    (n, d) site array, giving an (n,) array; one site is a batch of one.
+    (n, d) site array, giving an (n,) array (empty for n = 0); one site is a
+    batch of one.
     Normalization: the operator is sum_k analyze(f,...,j,k) m^{j/2} phi(M^j x + k).
     """
     k = np.asarray(k, dtype=float)
@@ -132,6 +134,8 @@ def analyze(f: TestFunction, a: AnalysisFunctional, M: DilationMatrix,
     if sites.ndim != 2 or sites.shape[1] != a.dim:
         raise InvalidParams(
             f"lattice sites of shape {k.shape} incompatible with dim {a.dim}")
+    if not len(sites):
+        return np.zeros(0, dtype=complex)
     vals = M.det_abs ** (-j / 2.0) * _pairings(f, a, M, j, sites)
     return complex(vals[0]) if single else vals
 
@@ -141,20 +145,20 @@ def _pairings(f, a, M, j, sites):
     if a.kind in ("DiracDerivative", "DiracPlusDerivative"):
         return M.det_abs ** j * _spectral_pairings(f, a, M, j, sites)
     Minv_j = M.power(-j)
+    x = -(sites @ Minv_j.T)
     if a.kind == "KernelL1":
         # one integral over half-integer knot cells: spline-type kernels are
         # smooth on each cell, so the doubling rule converges there
         supp = a.kernel.spatial_support
         knots = [np.arange(np.ceil(2 * lo), np.floor(2 * hi) + 1) / 2.0
                  for lo, hi in supp]
-        return _adaptive_box(f, Minv_j, sites, split_box(supp, knots),
-                             list(range(a.dim)), a.kernel)
+        return _adaptive_box(f, x, Minv_j, split_box(supp, knots), a.kernel)
     # Dirac, BoxAverage and MixedTensor: average over the BoxAverage axes
     avg = [i for i, tag in enumerate(a.axes) if tag == "BoxAverage"]
-    if not avg:  # the sample points -M^{-j} k
-        return np.asarray(f.spatial(-(sites @ Minv_j.T)), dtype=complex)
-    return _adaptive_box(f, Minv_j, sites, [np.array([[-0.5, 0.5]] * len(avg))],
-                         avg)
+    if not avg:
+        return np.asarray(f.spatial(x), dtype=complex)
+    return _adaptive_box(f, x, Minv_j[:, avg],
+                         [np.array([[-0.5, 0.5]] * len(avg))])
 
 
 def _spectral_pairings(f, a, M, j, sites):
@@ -183,32 +187,29 @@ def _spectral_pairings(f, a, M, j, sites):
                                      target.counts)]
 
 
-def _adaptive_box(f, Minv_j, sites, cells, axes, kernel=None):
-    """Integrals over t in the boxes `cells` of f(M^{-j} (t - k)), times
-    conj(kernel(t)) when a kernel is given, one per site k (the rows of
-    sites); t spans the listed axes and is 0 in the others.
+def _adaptive_box(f, x, A, cells, kernel=None):
+    """Integrals over t in the boxes `cells` of f(x_k + A t), times
+    conj(kernel(t)) when a kernel is given, one per sample point x_k (the
+    rows of x); A is d x (the dimension of t).
 
     Each order takes a tensor Gauss rule per cell; `converge` doubles it from
     8 to within PROFILE_TOL on the sums over the cells, up to ORDER_CAPS.
-    Each rule evaluates f on sites x nodes in blocks of at most MAX_BLOCK.
+    Each rule evaluates f on points x nodes in blocks of at most MAX_BLOCK.
     """
 
     def at(order):
-        total = np.zeros(sites.shape[0], dtype=complex)
+        total = np.zeros(x.shape[0], dtype=complex)
         for cell in cells:
             t, w = gauss_nodes_box(cell, order)
-            if len(axes) < sites.shape[1]:  # t is 0 on the other axes
-                full = np.zeros((w.shape[0], sites.shape[1]))
-                full[:, axes] = t
-                t = full  # one copy of the nodes stays alive
             kw = 1.0 if kernel is None else np.conj(
                 np.asarray(kernel.spatial(t), dtype=complex))
+            t = t @ A.T  # one copy of the nodes stays alive
             step = max(1, MAX_BLOCK // w.shape[0])
-            for i in range(0, sites.shape[0], step):
-                pts = (t[None, :, :] - sites[i:i + step, None, :]) @ Minv_j.T
-                vals = np.asarray(f.spatial(pts.reshape(-1, t.shape[1])))
+            for i in range(0, x.shape[0], step):
+                pts = x[i:i + step, None, :] + t
+                vals = np.asarray(f.spatial(pts.reshape(-1, x.shape[1])))
                 total[i:i + step] += vals.reshape(len(pts), -1) * kw @ w
         return total
 
-    return converge(at, 8, ORDER_CAPS[min(len(axes), 3) - 1], PROFILE_TOL,
+    return converge(at, 8, ORDER_CAPS[min(A.shape[1], 3) - 1], PROFILE_TOL,
                     "analyzer box integral")

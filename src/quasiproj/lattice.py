@@ -4,7 +4,8 @@ A dilation matrix is a real d x d matrix whose eigenvalues all exceed one in
 modulus; its positive powers refine the integer lattice.  Everything downstream
 (generators, coefficients, moduli) works relative to such a matrix.  Its
 algebra calls no LAPACK routine; eigenvalues are computed only for a
-`NotExpansive` message and for `isotropic`.
+`NotExpansive` message and for `isotropic`, which also decides exactly, in
+Fraction arithmetic, whether the matrix is diagonalizable.
 """
 
 from functools import cached_property
@@ -50,10 +51,12 @@ class DilationMatrix(Record, Frozen):
 
     @cached_property
     def isotropic(self) -> bool:
-        """All eigenvalues have one modulus (to a relative 1e-10)."""
+        """All eigenvalues have one modulus (to a relative 1e-10) and M is
+        diagonalizable, so ||M^j|| grows like that modulus to the j."""
         moduli = np.abs(np.linalg.eigvals(self.entries))
-        return bool(np.max(moduli) - np.min(moduli)
-                    <= _ISO_RTOL * np.max(moduli))
+        if np.max(moduli) - np.min(moduli) > _ISO_RTOL * np.max(moduli):
+            return False
+        return _diagonalizable(self.entries)
 
 
 def make_dilation(entries) -> DilationMatrix:
@@ -99,20 +102,49 @@ def _invert(a):
     return c, det, inv
 
 
-def _faddeev(a):
+def _faddeev(a, scalar=float):
     """Faddeev-LeVerrier: the coefficients [1, c_1, ..., c_d] of
     det(lambda I - a) = lambda^d + c_1 lambda^(d-1) + ... + c_d, and adj(a).
 
     N_k = a N_{k-1} + c_{k-1} I and c_k = -tr(a N_k) / k from N_0 = 0; then
     adj(a) = (-1)^(d+1) N_d.  d steps of a matmul and a trace; on an integer
-    matrix every step is exact integer arithmetic."""
+    matrix every step is exact integer arithmetic, and on an object array of
+    Fractions, with scalar=Fraction, every step is exact."""
     d = len(a)
-    c = [1.0]
+    c = [scalar(1)]
     n = np.zeros_like(a)
     for k in range(1, d + 1):
-        n = a @ n + c[-1] * np.eye(d)
-        c.append(-float(np.trace(a @ n)) / k)
+        n = a @ n + c[-1] * np.eye(d, dtype=a.dtype)
+        c.append(-scalar(np.trace(a @ n)) / k)
     return c, (-1) ** (d + 1) * n
+
+
+def _diagonalizable(a):
+    """Whether a is diagonalizable over C, decided exactly on its entries
+    read as Fractions: the square-free part p / gcd(p, p') of its
+    characteristic polynomial p annihilates a."""
+    from fractions import Fraction
+    a = np.frompyfunc(Fraction, 1, 1)(a)
+    p = _faddeev(a, Fraction)[0]
+    g, r = p, [c * (len(p) - 1 - i) for i, c in enumerate(p[:-1])]  # p'
+    while r:  # Euclid: g ends as gcd(p, p')
+        g, r = r, _poly_divmod(g, r)[1]
+    acc = np.zeros_like(a)
+    for c in _poly_divmod(p, g)[0]:  # Horner
+        acc = acc @ a + c * np.eye(len(a), dtype=object)
+    return not acc.any()
+
+
+def _poly_divmod(u, v):
+    """Quotient and remainder of u / v, coefficient lists with the leading
+    coefficient first (v's nonzero); the remainder has no leading zeros."""
+    q = []
+    while len(u) >= len(v):
+        q.append(u[0] / v[0])
+        u = [x - q[-1] * y for x, y in zip(u[1:], v[1:] + [0] * len(u))]
+    while u and u[0] == 0:
+        u = u[1:]
+    return q, u
 
 
 def _expansive(c):

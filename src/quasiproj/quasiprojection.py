@@ -60,7 +60,8 @@ def evaluate_spatial(spec: OperatorSpec, f: TestFunction, pts, radius):
     one vectorized pass over points x window offsets in blocks of at most
     MAX_BLOCK entries, one generator call a block.  Returns the (n,) complex
     values; for a sequence of radii, the (len(radius), n) sums at each, from
-    the coefficients and generator values of the largest.
+    the coefficients and generator values of the largest.  An empty batch
+    (0, d) gives empty values of those shapes.
     """
     radii = tuple(radius) if np.ndim(radius) else (radius,)
     if not radii or not all(isinstance(r, numbers.Integral) and
@@ -68,6 +69,9 @@ def evaluate_spatial(spec: OperatorSpec, f: TestFunction, pts, radius):
         raise InvalidParams(f"radius must be an integer >= 0, got {radius!r}")
     top = max(radii)
     pts, _ = as_points(pts, spec.dim)
+    if not len(pts):  # an empty batch sums nothing
+        out = np.zeros((len(radii), 0), dtype=complex)
+        return out if np.ndim(radius) else out[0]
     y = pts @ spec.dilation.power(spec.level).T
     base = np.floor(-y).astype(int)
     lo = base.min(axis=0) - top

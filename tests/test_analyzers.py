@@ -13,7 +13,8 @@ from quasiproj.functions import (TestFunction, band_bump, gaussian,
                                  hat_tensor, sinc_tensor)
 from quasiproj.generators import make_generator
 from quasiproj.lattice import make_dilation
-from quasiproj.quadrature import MAX_BLOCK, converge, gauss_nodes_box
+from quasiproj.quadrature import (MAX_BLOCK, ORDER_CAPS, PROFILE_TOL,
+                                  converge, gauss_nodes_box, split_box)
 
 from helpers import integrate_box
 
@@ -65,6 +66,18 @@ def test_alpha_bound_isotropic_rotation():
 def test_alpha_bound_unsupported_matrix():
     M = make_dilation([[2.0, 1.0], [0.0, 3.0]])  # anisotropic, not diagonal
     d = make_analyzer("DiracDerivative", 2, beta=(1, 0))
+    with pytest.raises(UnsupportedMatrix):
+        alpha_bound(d, M)
+
+
+@pytest.mark.parametrize("entries", [
+    [[2.0, 1.0], [0.0, 2.0]],
+    [[2.0, 1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 2.0]],
+])
+def test_alpha_bound_rejects_a_jordan_block(entries):
+    # one eigenvalue modulus, but ||M^j|| / 2^j grows with j: not isotropic
+    M = make_dilation(entries)
+    d = make_analyzer("DiracDerivative", M.dim, beta=(1,) + (0,) * (M.dim - 1))
     with pytest.raises(UnsupportedMatrix):
         alpha_bound(d, M)
 
@@ -333,6 +346,79 @@ def test_site_array_matches_single_sites(dim, kind, kw):
     assert batch.shape == (sites.shape[0],)
     for k, c in zip(sites, batch):
         assert abs(c - analyze(f, a, M, 1, k)) <= 1e-12
+
+
+def _pairings_by_subtraction(f, a, M, j, sites):
+    """Oracle for the spatial integral kinds: the coefficients from
+    f(M^{-j} (t - k)), the Gauss nodes t padded with 0 on the Dirac axes,
+    minus each site k, then mapped, under the same doubling check."""
+    Minv_j, d = M.power(-j), a.dim
+    if a.kind == "KernelL1":
+        supp = a.kernel.spatial_support
+        cells = split_box(supp, [np.arange(np.ceil(2 * lo),
+                                           np.floor(2 * hi) + 1) / 2.0
+                                 for lo, hi in supp])
+        axes, kernel = list(range(d)), a.kernel
+    else:
+        axes = [i for i, tag in enumerate(a.axes) if tag == "BoxAverage"]
+        cells, kernel = [np.array([[-0.5, 0.5]] * len(axes))], None
+
+    def at(order):
+        total = np.zeros(len(sites), dtype=complex)
+        for cell in cells:
+            t, w = gauss_nodes_box(cell, order)
+            full = np.zeros((len(w), d))
+            full[:, axes] = t
+            kw = 1.0 if kernel is None else np.conj(
+                np.asarray(kernel.spatial(full), dtype=complex))
+            pts = (full[None, :, :] - sites[:, None, :]) @ Minv_j.T
+            vals = np.asarray(f.spatial(pts.reshape(-1, d)))
+            total += vals.reshape(len(sites), -1) * kw @ w
+        return total
+
+    return M.det_abs ** (-j / 2.0) * converge(
+        at, 8, ORDER_CAPS[min(len(axes), 3) - 1], PROFILE_TOL, "oracle")
+
+
+_QUINCUNX = [[1.0, 1.0], [1.0, -1.0]]
+_MIXED = make_analyzer("MixedTensor", 2, axes=("BoxAverage", "Dirac"))
+_PAIRING_CASES = {  # analyzer, dilation, level, site radius
+    "mixed-quincunx": (_MIXED, _QUINCUNX, 1, 3),
+    "mixed-diag23": (_MIXED, np.diag([2.0, 3.0]), 1, 3),
+    "kernel-2d": (make_analyzer("KernelL1", 2, kernel=_KERNEL),
+                  [[2.0, 1.0], [0.0, 3.0]], 1, 3),  # M^{-j} != M^{-j}T
+    "box-3d": (make_analyzer("BoxAverage", 3),  # rates_spline_3d's dilation
+               [[1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [0.0, 0.0, 2.0]], 2, 2),
+}
+
+
+@pytest.mark.parametrize("blocked", [False, True])
+@pytest.mark.parametrize("case", sorted(_PAIRING_CASES))
+def test_pairings_integrate_f_at_x_k_plus_mapped_nodes(case, blocked,
+                                                       monkeypatch):
+    # f(x_k + M^{-j} t) about x_k = -M^{-j} k is the same integrand as
+    # f(M^{-j} (t - k)) up to roundoff, also when the sites are split into
+    # blocks (at most 3 * 2^d sites a block at the first order, 8^d nodes)
+    a, m, j, r = _PAIRING_CASES[case]
+    M, f, sites = make_dilation(m), gaussian(a.dim), _site_cube([r] * a.dim)
+    if blocked:
+        monkeypatch.setattr(analyzers, "MAX_BLOCK", 3 * 16 ** a.dim)
+    got = analyze(f, a, M, j, sites)
+    want = _pairings_by_subtraction(f, a, M, j, sites)
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("a", [
+    make_analyzer("BoxAverage", 1),
+    make_analyzer("KernelL1", 1,
+                  kernel=make_generator("BSplineTensor", {"n": 3}, 1)),
+])
+def test_1d_pairings_match_the_subtraction_bit_for_bit(a):
+    # under M = 2 both forms scale t - k by a power of two: no roundoff moves
+    M, sites = make_dilation([[2.0]]), _site_cube([6])
+    np.testing.assert_array_equal(
+        analyze(gaussian(1), a, M, 2, sites),
+        _pairings_by_subtraction(gaussian(1), a, M, 2, sites))
 
 
 def test_site_array_shape_checked():

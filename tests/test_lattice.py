@@ -29,6 +29,18 @@ def test_anisotropic_diag_2_3():
     assert M.is_diagonal()
 
 
+# 2I, diag(2, 3) and [[1, -1], [1, 1]] are pinned by the tests about them
+@pytest.mark.parametrize("entries, iso", [
+    ([[2.0, 1.0], [0.0, 2.0]], False),  # Jordan block: ||M^j|| / 2^j grows
+    ([[2.0, 1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 2.0]], False),
+    (2.0 * np.eye(3), True),
+    ([[1.0, 1.0], [1.0, -1.0]], True),  # quincunx
+])
+def test_isotropic_needs_one_modulus_and_a_diagonalizable_matrix(entries,
+                                                                 iso):
+    assert make_dilation(entries).isotropic is iso
+
+
 def test_rotation_scaled_is_expansive_and_isotropic():
     # sqrt(2) rotation by 45 degrees: eigenvalues 1 +- i, moduli sqrt(2)
     M = make_dilation([[1.0, -1.0], [1.0, 1.0]])
@@ -138,7 +150,15 @@ def test_dilation_algebra_matches_numpy_linalg(name):
     np.testing.assert_array_equal(M.inverse, inv)
     np.testing.assert_allclose(M.power(-2) @ M.power(2), np.eye(len(a)),
                                rtol=0, atol=1e-12)
-    iso = np.max(moduli) - np.min(moduli) <= 1e-10 * np.max(moduli)
+    # isotropic: one modulus, and eigenspaces that span (nullities of
+    # a - lambda I summed over the distinct eigenvalues reach d)
+    lams = np.linalg.eigvals(a)
+    distinct = [lam for i, lam in enumerate(lams)
+                if all(abs(lam - mu) > 1e-6 for mu in lams[:i])]
+    span = sum(len(a) - np.linalg.matrix_rank(a - lam * np.eye(len(a)),
+                                              tol=1e-6) for lam in distinct)
+    iso = (np.max(moduli) - np.min(moduli) <= 1e-10 * np.max(moduli)
+           and span == len(a))
     assert M.isotropic == iso
 
 

@@ -151,6 +151,34 @@ def test_window_sum_blocks_stay_within_max_block(monkeypatch, block):
     assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("route, shape", [
+    ("Dirac", (0,)), ("BoxAverage", (0,)), ("KernelL1", (0,)),
+    ("DiracDerivative", (0,)), ("evaluate_spatial", (0,)),
+    ("evaluate_spatial radii", (2, 0)), ("evaluate_grid_compact", (0,)),
+    ("spectral_evaluator", (0,)),
+])
+def test_empty_batches_give_empty_arrays(route, shape):
+    f, none = gaussian(2), np.zeros((0, 2))
+    M = make_dilation(np.diag([2.0, 2.0]))
+    spline = make_generator("BSplineTensor", {"n": 2}, 2)
+    spec = OperatorSpec(spline, make_analyzer("Dirac", 2), M, 1)
+    if route == "evaluate_spatial":
+        got = evaluate_spatial(spec, f, none, 2)
+    elif route == "evaluate_spatial radii":
+        got = evaluate_spatial(spec, f, none, (1, 2))
+    elif route == "evaluate_grid_compact":
+        got = evaluate_grid_compact(spec, f, none)
+    elif route == "spectral_evaluator":
+        sinc = make_generator("TensorSincPower", {"n": 1, "a": 1.0}, 2)
+        got = spectral_evaluator(OperatorSpec(sinc, spec.analyzer, M, 1),
+                                 f)(none)
+    else:
+        kw = {"KernelL1": {"kernel": spline},
+              "DiracDerivative": {"beta": (1, 0)}}.get(route, {})
+        got = analyze(f, make_analyzer(route, 2, **kw), M, 1, none)
+    assert got.dtype == complex and got.shape == shape
+
+
 def test_spectrum_support_scales_with_level():
     spec = _spec("TensorSincPower", {"n": 1, "a": 1.0}, "Dirac", level=3)
     np.testing.assert_allclose(spectrum_support(spec), [[-4.0, 4.0]])
