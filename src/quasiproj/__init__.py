@@ -12,8 +12,8 @@ from .errors import (ConfigError, HypothesisViolated, InvalidParams,
                      NotExpansive, QuasiprojError, UnsupportedMatrix)
 from .functions import TestFunction, band_bump, gaussian, hat_tensor, sinc_tensor
 from .generators import make_generator
-from .harness import (ExperimentConfig, ExperimentReport, emit, rate_fit,
-                      reconstruction_check, run_experiment, two_sided_ratio)
+from .harness import (ExperimentConfig, emit, rate_fit, reconstruction_check,
+                      run_experiment, two_sided_ratio)
 from .lattice import DilationMatrix, make_dilation
 from .quasiprojection import (OperatorSpec, error_lp, evaluate_spatial,
                               spectral_evaluator)

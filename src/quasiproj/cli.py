@@ -12,15 +12,14 @@ Exit codes: 0 on success, 2 when a reconstruction hypothesis is violated,
 """
 
 import argparse
-import json
 import sys
 
 import numpy as np
 
 from . import analyzers, functions, generators
 from .errors import ConfigError, HypothesisViolated, QuasiprojError
-from .harness import (ExperimentConfig, build_operator, condition_summary,
-                      emit, reconstruction_check, run_experiment)
+from .harness import (ExperimentConfig, build_operator, emit,
+                      reconstruction_check, run_experiment)
 
 
 def _add_config_arg(sub):
@@ -74,8 +73,9 @@ def main(argv=None) -> int:
             return 0
         cfg = ExperimentConfig.from_file(args.config)
         if args.command == "check":
-            _write(json.dumps(condition_summary(cfg), sort_keys=True,
-                              indent=2) + "\n", args.output)
+            from .conditions import condition_report  # loaded on first use
+            _write(emit(condition_report(cfg.generator, cfg.analyzer)),
+                   args.output)
             return 0
         if args.command in ("approximate", "rates"):
             if getattr(args, "level", None) is not None:
@@ -91,11 +91,9 @@ def main(argv=None) -> int:
                                   "experiment.levels must list one, got "
                                   f"{list(cfg.levels)}")
             spec = build_operator(cfg, cfg.levels[0])
-            result = reconstruction_check(spec, cfg.function,
-                                          np.asarray(cfg.box, dtype=float),
-                                          cfg.grid)
-            _write(json.dumps(result, sort_keys=True, indent=2) + "\n",
-                   args.output)
+            _write(emit(reconstruction_check(
+                spec, cfg.function, np.asarray(cfg.box, dtype=float),
+                cfg.grid)), args.output)
             return 0
     except HypothesisViolated as exc:
         print(f"hypothesis violated: {exc}", file=sys.stderr)

@@ -11,7 +11,6 @@ from .analyzers import AnalysisFunctional, fourier_symbol
 from .errors import InvalidParams, QuadratureFailure
 from .functions import TestFunction
 from .quadrature import GridSpec
-from .records import Frozen, Record
 from .smoothness import difference
 
 ZERO_TOL = 1e-7
@@ -144,32 +143,14 @@ def mikhlin_constant(g: TestFunction, a: AnalysisFunctional) -> float:
     return best
 
 
-class ConditionReport(Record, Frozen):
-    """The condition certificates of one generator/analyzer pair."""
-
-    def __init__(self, strang_fix: int, weak_compat: int,
-                 strict_delta: float, mikhlin: float, caveats: tuple):
-        vars(self).update(strang_fix=strang_fix, weak_compat=weak_compat,
-                          strict_delta=strict_delta, mikhlin=mikhlin,
-                          caveats=caveats)
-
-    def _key(self):
-        return (self.strang_fix, self.weak_compat, self.strict_delta,
-                self.mikhlin, self.caveats)
-
-    def to_dict(self):
-        return {**vars(self), "caveats": list(self.caveats)}
-
-
-def condition_report(g: TestFunction, a: AnalysisFunctional) -> ConditionReport:
+def condition_report(g: TestFunction, a: AnalysisFunctional) -> dict:
     """All condition certificates for one generator/analyzer pair."""
     caveats = ["orders are value slopes on a ladder of radii, settled to "
                f"{SLOPE_TOL:g}, not symbolic proofs"]
     if g.fourier_support is None:
         caveats.append("generator is not band-limited; spectral checks use "
                        "its closed-form profile")
-    return ConditionReport(strang_fix=strang_fix_order(g),
-                           weak_compat=weak_compat_order(g, a),
-                           strict_delta=strict_compat_radius(g, a),
-                           mikhlin=mikhlin_constant(g, a),
-                           caveats=tuple(caveats))
+    return {"strang_fix": strang_fix_order(g),
+            "weak_compat": weak_compat_order(g, a),
+            "strict_delta": strict_compat_radius(g, a),
+            "mikhlin": mikhlin_constant(g, a), "caveats": caveats}

@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import InvalidParams, QuadratureFailure
 from .functions import TestFunction, from_profile
+from .quadrature import as_box
 
 # kind -> its parameters and their defaults; a numeric default also sets the
 # type a value is cast to (an int one takes only integral values, a float one
@@ -118,25 +119,8 @@ def make_generator(kind: str, params=None, dim: int = 1) -> TestFunction:
             raise QuadratureFailure(
                 f"{kind} has no Fourier support box to integrate over")
         return TestFunction(kind, dim, spatial, profile)
-    try:
-        box = as_box(support, dim)
-    except ValueError as exc:
-        raise InvalidParams(f"FourierProfile support {exc}") from None
-    return from_profile(kind, dim, profile, box)
-
-
-def as_box(value, dim):
-    """value as a (dim, 2) float array of finite rows [lo, hi] with lo < hi;
-    anything else is a ValueError."""
-    try:
-        box = np.array(value, dtype=float)
-    except (TypeError, ValueError):
-        box = None
-    if (box is None or box.shape != (dim, 2) or not np.all(np.isfinite(box))
-            or not np.all(box[:, 0] < box[:, 1])):
-        raise ValueError(f"must be {dim} rows of finite [lo, hi] with "
-                         f"lo < hi, got {value!r}")
-    return box
+    return from_profile(kind, dim, profile,
+                        as_box(support, dim, "FourierProfile support"))
 
 
 def as_int(value) -> int:

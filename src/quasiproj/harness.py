@@ -1,5 +1,6 @@
 """Experiment orchestration: configs, level sweeps, rate fits, and reports.
 
+A report is a dict of plain JSON data, and `emit` serializes every one.
 Reports are deterministic by construction (sorted JSON keys, repr floats,
 and a config hash in the provenance block), so byte-identical reruns are a
 testable invariant rather than an aspiration.
@@ -15,11 +16,12 @@ from .analyzers import AnalysisFunctional, make_analyzer
 from .errors import (ConfigError, HypothesisViolated, InvalidParams,
                      NonPositiveValue, NotExpansive, Singular)
 from .functions import TestFunction
-from .generators import as_box, as_int, make_generator
+from .generators import as_int, make_generator
 from .lattice import MAX_DIM, DilationMatrix, make_dilation, map_box
+from .quadrature import as_box
 from .quasiprojection import (OperatorSpec, error_lp, evaluate_grid_compact,
                               evaluate_spatial, spectral_evaluator)
-from .records import Frozen, Record
+from .records import Frozen
 from .smoothness import ModulusSpec, best_approx, modulus
 
 # The interpreter's builtin SHA-256, the module hashlib falls back to:
@@ -195,9 +197,10 @@ def _flag(value) -> bool:
 def _box(value, dim):
     """experiment.box as dim rows of finite (lo, hi) with lo < hi."""
     try:
-        return tuple(tuple(row) for row in as_box(value, dim).tolist())
-    except ValueError as exc:
-        raise ConfigError(f"experiment.box {exc}") from None
+        return tuple(tuple(row) for row in
+                     as_box(value, dim, "experiment.box").tolist())
+    except InvalidParams as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def build_operator(cfg: ExperimentConfig, level: int) -> OperatorSpec:
@@ -261,84 +264,41 @@ def apply_operator(spec: OperatorSpec, f):
 
 # -- experiment driver -------------------------------------------------------
 
-class LevelResult(Record):
-    """One report row: the error at a level and its optional references."""
-
-    __hash__ = None
-
-    def __init__(self, level: int, error: float, modulus: float | None = None,
-                 best_approx: float | None = None, ratio: float | None = None):
-        self.level = level
-        self.error = error
-        self.modulus = modulus
-        self.best_approx = best_approx
-        self.ratio = ratio
-
-    def _key(self):
-        return self.level, self.error, self.modulus, self.best_approx, self.ratio
-
-    def to_dict(self):
-        return dict(vars(self))
-
-
-class ExperimentReport(Record):
-    """The report of a level sweep: rows, rate fit and provenance."""
-
-    __hash__ = None
-
-    def __init__(self, config_digest: str, levels: list, rows: list,
-                 rate: float | None, rate_residual: float | None,
-                 provenance: dict):
-        self.config_digest = config_digest
-        self.levels = levels
-        self.rows = rows
-        self.rate = rate
-        self.rate_residual = rate_residual
-        self.provenance = provenance
-
-    def _key(self):
-        return (self.config_digest, self.levels, self.rows, self.rate,
-                self.rate_residual, self.provenance)
-
-    def to_dict(self):
-        return {**vars(self), "levels": list(self.levels),
-                "rows": [r.to_dict() for r in self.rows],
-                "provenance": dict(self.provenance)}
-
-
-def _level_row(cfg: ExperimentConfig, level: int) -> LevelResult:
+def _level_row(cfg: ExperimentConfig, level: int) -> dict:
+    """One report row: the error at a level, and its modulus, best
+    approximation and error/modulus ratio where asked for, else None."""
     f = cfg.function
     spec = build_operator(cfg, level)
     approx = apply_operator(spec, f)
     box = np.asarray(cfg.box, dtype=float)
     err = error_lp(f, approx, cfg.p, box, cfg.grid)
-    row = LevelResult(level=level, error=err)
+    row = {"level": level, "error": err, "modulus": None, "best_approx": None,
+           "ratio": None}
     if cfg.with_modulus:
         mspec = ModulusSpec(order=cfg.modulus_order,
                             matrix=spec.dilation.power(-level), p=cfg.p)
-        row.modulus = modulus(f, mspec, box, cfg.grid).value
-        if row.modulus > 0:
-            row.ratio = err / row.modulus
+        row["modulus"] = modulus(f, mspec, box, cfg.grid).value
+        if row["modulus"] > 0:
+            row["ratio"] = err / row["modulus"]
     if cfg.with_best_approx:
-        row.best_approx = best_approx(
+        row["best_approx"] = best_approx(
             f, spec.dilation.power(level), cfg.p, box, cfg.grid)
     return row
 
 
-def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
+def run_experiment(cfg: ExperimentConfig) -> dict:
+    """The report of a level sweep: its rows, the rate fit of the errors
+    (None unless two or more levels all have an error > 0) and provenance."""
     rows = [_level_row(cfg, j) for j in cfg.levels]
     rate = residual = None
-    errs = [r.error for r in rows]
+    errs = [r["error"] for r in rows]
     if len(rows) >= 2 and all(e > 0 for e in errs):
         rate, residual = rate_fit(list(cfg.levels), errs)
-    return ExperimentReport(
-        config_digest=cfg.digest(),
-        levels=list(cfg.levels),
-        rows=rows,
-        rate=rate,
-        rate_residual=residual,
-        provenance={"grid": cfg.grid, "box": [list(b) for b in cfg.box],
-                    "p": "inf" if cfg.p == np.inf else cfg.p})
+    return {"config_digest": cfg.digest(), "levels": list(cfg.levels),
+            "rows": rows, "rate": rate, "rate_residual": residual,
+            "provenance": {"grid": cfg.grid,
+                           "box": [list(b) for b in cfg.box],
+                           "p": "inf" if cfg.p == np.inf else cfg.p}}
 
 
 # -- band-limited reconstruction check --------------------------------------
@@ -375,35 +335,33 @@ def reconstruction_check(spec: OperatorSpec, f, box, grid: int):
     probe = 0.25 * (box[:, 0] + 3 * box[:, 1])[None, :]  # off-center probe
     exact = complex(np.asarray(f.spatial(probe), dtype=complex)[0])
     sums = evaluate_spatial(spec, f, probe, RADIUS_LADDER)[:, 0]
-    ladder = [{"radius": radius, "error": abs(value - exact)}
+    ladder = [{"radius": radius, "error": float(abs(value - exact))}
               for radius, value in zip(RADIUS_LADDER, sums)]
     return {"delta": delta, "sup_error": sup_err, "truncation": ladder}
 
 
 # -- emission ----------------------------------------------------------------
 
-def _csv_text(report: ExperimentReport) -> str:
+def _csv_text(report: dict) -> str:
+    """A sweep report as CSV: one line a row, each repeating the rate fit."""
     import csv  # only CSV reports pay for loading it
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["level", "error", "modulus", "best_approx", "ratio", "rate",
-                "rate_residual"])
-    for r in report.rows:
-        w.writerow([r.level] + ["" if v is None else repr(v) for v in (
-            r.error, r.modulus, r.best_approx, r.ratio, report.rate,
-            report.rate_residual)])
+    head = ["level", "error", "modulus", "best_approx", "ratio", "rate",
+            "rate_residual"]
+    w.writerow(head)
+    for r in report["rows"]:
+        r = {**r, "rate": report["rate"],
+             "rate_residual": report["rate_residual"]}
+        w.writerow(["" if r[k] is None else repr(r[k]) for k in head])
     return buf.getvalue()
 
 
-def emit(report: ExperimentReport, fmt: str = "json") -> str:
-    """Serialize a report; identical reports give identical bytes."""
+def emit(report: dict, fmt: str = "json") -> str:
+    """Any report (a sweep, `condition_report` or `reconstruction_check`) as
+    sorted-key JSON, a sweep also as CSV; equal reports give equal bytes."""
     if fmt == "csv":
         return _csv_text(report)
     if fmt == "json":
-        return json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+        return json.dumps(report, sort_keys=True, indent=2) + "\n"
     raise InvalidParams(f"unknown output format {fmt!r}")
-
-
-def condition_summary(cfg: ExperimentConfig) -> dict:
-    from .conditions import condition_report
-    return condition_report(cfg.generator, cfg.analyzer).to_dict()

@@ -177,13 +177,28 @@ def fourier_sum(pts, nodes, weights):
     return out
 
 
+def as_box(value, dim=None, what="box"):
+    """value as a float array of dim rows (without a dim, any number >= 1) of
+    finite [lo, hi] with lo < hi; else InvalidParams naming `what`."""
+    try:
+        box = np.array(value, dtype=float)
+    except (TypeError, ValueError):
+        box = np.empty(0)
+    rows = len(box) if dim is None and box.ndim == 2 else dim
+    if (not rows or box.shape != (rows, 2) or not np.all(np.isfinite(box))
+            or not np.all(box[:, 0] < box[:, 1])):
+        raise InvalidParams(f"{what} must be {dim or 'd >= 1'} rows of finite "
+                            f"[lo, hi] with lo < hi, got {value!r}")
+    return box
+
+
 class GridSpec(Frozen):
-    """Midpoint grid over a box (d, 2): `grid` cells on every axis, or one
-    count per axis; each count must be an integer >= 1.  Immutable; equal
-    only to itself."""
+    """Midpoint grid over a box (`as_box`): `grid` cells on every axis, or
+    one count per axis; each count must be an integer >= 1.  Immutable;
+    equal only to itself."""
 
     def __init__(self, box, grid):
-        box = np.array(box, dtype=float)
+        box = as_box(box)
         box.setflags(write=False)
         counts = (tuple(grid) if isinstance(grid, (tuple, list, np.ndarray))
                   else (grid,) * len(box))
@@ -322,6 +337,16 @@ def _tensor_points(axes):
     row-major order (last axis fastest)."""
     grids = np.meshgrid(*axes, indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=-1)
+
+
+def norm_grid(box, grid) -> GridSpec:
+    """The midpoint grid of an L_p norm: GridSpec(box, grid) with every count
+    an integer >= 2, since one midpoint is no Riemann sum; else
+    InvalidParams."""
+    g = GridSpec(box, grid)
+    if min(g.counts) < 2:
+        raise InvalidParams(f"grid must be >= 2 per axis, got {grid!r}")
+    return g
 
 
 def grid_lp_norm(values, cell_volume: float, p) -> float:

@@ -25,7 +25,7 @@ from .functions import TestFunction
 from .lattice import DilationMatrix, map_box
 from . import quadrature
 from .quadrature import (GridSpec, as_points, fourier_sum, grid_fourier_sum,
-                         grid_lp_norm)
+                         grid_lp_norm, norm_grid)
 from .records import Frozen, Record
 
 
@@ -37,8 +37,10 @@ class OperatorSpec(Record, Frozen):
         dims = {generator.dim, analyzer.dim, dilation.dim}
         if len(dims) != 1:
             raise InvalidParams(f"dimension mismatch: {dims}")
-        if level < 0:
-            raise InvalidParams(f"level must be >= 0, got {level}")
+        if not (isinstance(level, numbers.Integral)
+                and not isinstance(level, bool) and level >= 0):
+            raise InvalidParams(f"level must be an integer >= 0, got "
+                                f"{level!r}")
         vars(self).update(generator=generator, analyzer=analyzer,
                           dilation=dilation, level=level)
 
@@ -225,10 +227,9 @@ def error_lp(f, approx, p, box, grid: int) -> float:
     """Riemann-sum L_p(box) norm of f - approx on a uniform midpoint grid.
 
     f takes the grid points (n, d); approx takes the `GridSpec` and returns
-    its values at the same points, in row-major order."""
-    if grid < 2:
-        raise InvalidParams(f"grid must be >= 2 per axis, got {grid}")
-    g = GridSpec(box, grid)
+    its values at the same points, in row-major order.  The grid is
+    `norm_grid(box, grid)`."""
+    g = norm_grid(box, grid)
     diff = (np.asarray(f(g.points)).astype(complex)
             - np.asarray(approx(g)).astype(complex))
     return grid_lp_norm(diff, g.cell_volume, p)

@@ -2,10 +2,10 @@
 
 Each record writes out its own `__init__`.  `Record` gives value equality
 over the fields a record names in `_key`, comparing arrays by value, and a
-hash that agrees with it; a mutable record sets `__hash__ = None`.
-`Frozen` makes a record immutable once `__init__` has set its fields
-through `vars(self)`.  `functools.cached_property` still caches, since it
-writes to the instance dict directly.
+hash that agrees with it; every `Record` is also `Frozen`, so no mutable
+record hashes.  `Frozen` makes a record immutable once `__init__` has set
+its fields through `vars(self)`.  `functools.cached_property` still
+caches, since it writes to the instance dict directly.
 """
 
 import numpy as np

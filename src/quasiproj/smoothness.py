@@ -20,7 +20,8 @@ from .functions import TestFunction, from_profile
 from . import quadrature
 from .lattice import inverse, map_box
 from .quadrature import (ORDER_CAPS, PROFILE_TOL, GridSpec, converge,
-                         gauss_nodes_box, grid_lp_norm, split_box, transform)
+                         gauss_nodes_box, grid_lp_norm, norm_grid, split_box,
+                         transform)
 from .records import Frozen, Record
 
 DIRECTIONS = 16          # angular directions of the step net in 2-D
@@ -127,8 +128,7 @@ def step_net(spec: ModulusSpec):
 def modulus(f: TestFunction, spec: ModulusSpec, box, grid: int) -> ModulusResult:
     """Sampled anisotropic modulus: max over the step net of the grid L_p
     norm of the order-s difference.  A lower estimate of the exact sup."""
-    _check_inputs(f, spec.matrix, box, grid)
-    g = GridSpec(box, grid)
+    g = _check_inputs(f, spec.matrix, box, grid)
     net = step_net(spec)
     s = spec.order
     if float(s).is_integer():
@@ -176,7 +176,7 @@ def best_approx(f: TestFunction, A, p, box, grid: int) -> float:
     exactly 0 and is dropped.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    _check_inputs(f, A, box, grid)
+    target = _check_inputs(f, A, box, grid)
     if f.fourier is None or f.fourier_support is None:
         raise UnsupportedInput(
             f"{f.name} needs a Fourier profile for best approximation")
@@ -196,7 +196,6 @@ def best_approx(f: TestFunction, A, p, box, grid: int) -> float:
         return converge(root, 32, ORDER_CAPS[min(d, 3) - 1], PROFILE_TOL,
                         "best approximation")
     Astar_inv = inverse(A.T)
-    target = GridSpec(box, grid)
 
     def resid(xi):
         return (1.0 - eta_profile(xi @ Astar_inv.T)) * \
@@ -211,10 +210,9 @@ def best_approx(f: TestFunction, A, p, box, grid: int) -> float:
     return grid_lp_norm(vals, target.cell_volume, p)
 
 
-def _check_inputs(f: TestFunction, matrix, box, grid):
-    """InvalidParams unless the matrix is d x d and the box (d, 2) for the
-    signal's dimension d, and the grid has at least 2 points per axis, as
-    `error_lp` asks."""
+def _check_inputs(f: TestFunction, matrix, box, grid) -> GridSpec:
+    """`norm_grid(box, grid)`, as `error_lp` takes it, for a d x d matrix and
+    a (d, 2) box, d the signal's dimension; InvalidParams otherwise."""
     d = f.dim
     if matrix.shape != (d, d):
         raise InvalidParams(f"matrix of shape {matrix.shape} does not fit the "
@@ -222,8 +220,7 @@ def _check_inputs(f: TestFunction, matrix, box, grid):
     if np.shape(box) != (d, 2):
         raise InvalidParams(f"box of shape {np.shape(box)} does not fit the "
                             f"{d}-D signal {f.name}: expected {(d, 2)}")
-    if grid < 2:
-        raise InvalidParams(f"grid must be >= 2 per axis, got {grid}")
+    return norm_grid(box, grid)
 
 
 def fractional_laplacian(P: TestFunction, s: float) -> TestFunction:

@@ -237,11 +237,11 @@ def test_invariant_suite():
     det_ok = emit(run_experiment(cfg), "json") == emit(run_experiment(cfg), "json")
 
     # refinement stability: doubling the grid moves each error < 5%
-    coarse = {r.level: r.error for r in run_experiment(cfg).rows}
+    coarse = {r["level"]: r["error"] for r in run_experiment(cfg)["rows"]}
     fine_dict = json.loads(json.dumps(cfg_dict))
     fine_dict["experiment"]["grid"] = 1024
-    fine = {r.level: r.error
-            for r in run_experiment(ExperimentConfig.from_dict(fine_dict)).rows}
+    fine_report = run_experiment(ExperimentConfig.from_dict(fine_dict))
+    fine = {r["level"]: r["error"] for r in fine_report["rows"]}
     refine_ok = all(abs(coarse[j] - fine[j]) / fine[j] < 0.05 for j in coarse)
 
     dt = time.monotonic() - t0

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from quasiproj import quasiprojection
+from quasiproj.conditions import condition_report
 from quasiproj.errors import (ConfigError, HypothesisViolated,
                               InvalidParams, NonPositiveValue)
 from quasiproj.functions import band_bump
@@ -219,7 +220,7 @@ def test_config_scalar_dilation_is_one_by_one():
     cfg = _cfg(**{"operator.dilation": 2.0})
     assert cfg.dilation.entries.tolist() == [[2.0]]
     assert build_operator(cfg, 3).dilation is cfg.dilation
-    assert run_experiment(cfg).rows == run_experiment(_cfg()).rows
+    assert run_experiment(cfg)["rows"] == run_experiment(_cfg())["rows"]
 
 
 @pytest.mark.parametrize("box", [[[-4.0, 4.0]], [[1.0, -1.0], [0.0, 1.0]],
@@ -243,9 +244,67 @@ def test_config_infinity_p():
 
 def test_run_experiment_reports_rate():
     report = run_experiment(_cfg(**{"experiment.levels": [1, 2, 3]}))
-    assert len(report.rows) == 3
-    assert report.rate is not None and report.rate < -1.5
-    assert all(r.error > 0 for r in report.rows)
+    assert len(report["rows"]) == 3
+    assert report["rate"] is not None and report["rate"] < -1.5
+    assert all(r["error"] > 0 for r in report["rows"])
+
+
+@pytest.fixture(scope="module")
+def reports():
+    """A sweep (with every reference column), a condition report and a
+    reconstruction certificate."""
+    sweep = run_experiment(_cfg(**{"experiment.with_modulus": True,
+                                   "experiment.with_best_approx": True}))
+    cfg = ExperimentConfig.from_file(str(CONFIGS / "reconstruct_sinc.json"))
+    return {"rates": sweep,
+            "check": condition_report(cfg.generator, cfg.analyzer),
+            "reconstruct": reconstruction_check(
+                build_operator(cfg, cfg.levels[0]), cfg.function,
+                np.asarray(cfg.box), cfg.grid)}
+
+
+REPORT_KEYS = {
+    "rates": {"config_digest", "levels", "rows", "rate", "rate_residual",
+              "provenance"},
+    "check": {"strang_fix", "weak_compat", "strict_delta", "mikhlin",
+              "caveats"},
+    "reconstruct": {"delta", "sup_error", "truncation"},
+}
+
+
+def _plain(value):
+    """True if value is built of JSON's own types only: dicts with string
+    keys, lists, str, int, float, bool and None (no tuples, no numpy
+    scalars)."""
+    if type(value) is dict:
+        return all(type(k) is str and _plain(v) for k, v in value.items())
+    if type(value) is list:
+        return all(_plain(v) for v in value)
+    return type(value) in (str, int, float, bool, type(None))
+
+
+@pytest.mark.parametrize("kind", sorted(REPORT_KEYS))
+def test_reports_are_plain_json_dicts_with_fixed_keys(reports, kind):
+    report = reports[kind]
+    assert set(report) == REPORT_KEYS[kind]
+    assert _plain(report)
+    assert json.loads(emit(report)) == report
+    assert emit(report) == emit(report, "json")
+
+
+def test_report_rows_and_rungs_have_fixed_keys(reports):
+    rows = reports["rates"]["rows"]
+    assert [r["level"] for r in rows] == reports["rates"]["levels"] == [1, 2]
+    for row in rows:
+        assert set(row) == {"level", "error", "modulus", "best_approx",
+                            "ratio"}
+        assert None not in row.values()
+    rungs = reports["reconstruct"]["truncation"]
+    assert [set(r) for r in rungs] == [{"radius", "error"}] * len(RADIUS_LADDER)
+    # a row leaves out nothing it was not asked for: the columns are None
+    row = run_experiment(_cfg())["rows"][0]
+    assert set(row) == {"level", "error", "modulus", "best_approx", "ratio"}
+    assert row["modulus"] is row["best_approx"] is row["ratio"] is None
 
 
 def test_emit_json_deterministic():
@@ -339,7 +398,7 @@ def test_emit_csv_layout():
                         "rate_residual")
     assert len(lines) == 3
     # every row repeats the rate fit; without a fit the columns are empty
-    fit = [repr(report.rate), repr(report.rate_residual)]
+    fit = [repr(report["rate"]), repr(report["rate_residual"])]
     assert all(line.split(",")[-2:] == fit for line in lines[1:])
     single = emit(run_experiment(_cfg(**{"experiment.levels": [1]})), "csv")
     assert single.strip().split("\n")[1].split(",")[-2:] == ["", ""]

@@ -33,6 +33,18 @@ def test_dimension_mismatch_rejected():
                      dilation=make_dilation([2.0]))
 
 
+@pytest.mark.parametrize("level", [True, 2.5, "2", -1, None])
+def test_operator_level_must_be_an_integer_at_least_zero(level):
+    with pytest.raises(InvalidParams, match="level must be an integer"):
+        _spec("BSplineTensor", {"n": 2}, "Dirac", level=level)
+
+
+def test_operator_level_takes_numpy_integers():
+    spec = _spec("BSplineTensor", {"n": 2}, "Dirac", level=np.int64(2))
+    assert spec.level == 2
+    assert spec.dilation.power(spec.level).tolist() == [[4.0]]
+
+
 def test_coefficients_index_set():
     spec = _spec("BSplineTensor", {"n": 2}, "Dirac")
     sites = np.arange(-3, 4)[:, None]

@@ -11,10 +11,9 @@ import pytest
 
 import quasiproj
 from quasiproj.analyzers import make_analyzer
-from quasiproj.conditions import ConditionReport
 from quasiproj.functions import gaussian
 from quasiproj.generators import make_generator
-from quasiproj.harness import ExperimentConfig, ExperimentReport, LevelResult
+from quasiproj.harness import ExperimentConfig
 from quasiproj.lattice import make_dilation
 from quasiproj.quadrature import GridSpec
 from quasiproj.quasiprojection import OperatorSpec
@@ -30,7 +29,7 @@ EXPORTS = (
     "QuasiprojError", "UnsupportedMatrix",
     "TestFunction", "band_bump", "gaussian", "hat_tensor", "sinc_tensor",
     "make_generator",
-    "ExperimentConfig", "ExperimentReport", "emit", "rate_fit",
+    "ExperimentConfig", "emit", "rate_fit",
     "reconstruction_check", "run_experiment", "two_sided_ratio",
     "DilationMatrix", "make_dilation",
     "OperatorSpec", "error_lp", "evaluate_spatial", "spectral_evaluator",
@@ -67,8 +66,6 @@ def _frozen_records():
     M = make_dilation([[1.0, 1.0], [1.0, -1.0]])
     return [
         (a, ("kind", "dim", "beta", "axes", "kernel")),
-        (ConditionReport(2, 2, 0.0, 1.0, ("c",)),
-         ("strang_fix", "weak_compat", "strict_delta", "mikhlin", "caveats")),
         (ExperimentConfig.from_dict(CONFIG),
          ("generator", "analyzer", "dilation", "function", "levels", "p",
           "box", "grid", "modulus_order", "with_modulus", "with_best_approx",
@@ -102,10 +99,6 @@ def test_mutable_records_take_assignment():
     spatial = f.spatial
     f.spatial = lambda pts: 2 * spatial(pts)
     assert f(0.0) == 2.0
-    row = LevelResult(level=1, error=0.5)
-    row.modulus = 0.25
-    assert row.to_dict() == {"level": 1, "error": 0.5, "modulus": 0.25,
-                             "best_approx": None, "ratio": None}
 
 
 def test_equality_of_the_other_records():
@@ -126,35 +119,8 @@ def test_equality_of_the_other_records():
     assert f == f and f != gaussian(2)
     assert kernel != make_generator("BSplineTensor", {"n": 2}, 1)
     assert len({grid, cfg, cfg, f, f, kernel}) == 4
-    # value records compare field by field; the mutable ones do not hash
+    # value records compare field by field
     assert ModulusResult(0.5, 7) == ModulusResult(0.5, 7) != ModulusResult(0.5, 8)
-    assert (ConditionReport(2, 2, 0.0, 1.0, ("c",))
-            == ConditionReport(2, 2, 0.0, 1.0, ("c",)))
-    rows = [LevelResult(1, 0.5), LevelResult(2, 0.25, ratio=1.0)]
-    report = ExperimentReport("d", [1, 2], rows, -1.0, 0.0, {"grid": 64})
-    assert report == ExperimentReport("d", [1, 2], [LevelResult(1, 0.5),
-                                                    LevelResult(2, 0.25,
-                                                                ratio=1.0)],
-                                      -1.0, 0.0, {"grid": 64})
-    assert rows[0] != rows[1]
-    for value in (rows[0], report):
-        with pytest.raises(TypeError):
-            hash(value)
-
-
-def test_report_to_dict_is_plain_data():
-    rows = [LevelResult(1, 0.5, modulus=0.25, ratio=2.0)]
-    report = ExperimentReport("abc", [1], rows, None, None,
-                              {"grid": 64, "box": [[-1.0, 1.0]], "p": 2.0})
-    d = report.to_dict()
-    assert d == {"config_digest": "abc", "levels": [1],
-                 "rows": [{"level": 1, "error": 0.5, "modulus": 0.25,
-                           "best_approx": None, "ratio": 2.0}],
-                 "rate": None, "rate_residual": None,
-                 "provenance": {"grid": 64, "box": [[-1.0, 1.0]], "p": 2.0}}
-    d["rows"][0]["error"] = 1.0
-    d["levels"].append(2)
-    assert rows[0].error == 0.5 and report.levels == [1]
 
 
 def test_package_import_defers_conditions_and_cli():

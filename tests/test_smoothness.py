@@ -424,14 +424,14 @@ def test_metrics_reject_shapes_that_miss_the_signal(call, shapes):
         call()
 
 
-def _metric(name, p, grid=64):
-    f = gaussian(1)
+def _metric(name, p, grid=64, box=BOX, dim=1):
+    f = gaussian(dim)
     calls = {
         "error_lp": lambda: error_lp(f.spatial, lambda g: np.zeros(len(g.points)),
-                                     p, BOX, grid),
-        "modulus": lambda: modulus(f, ModulusSpec(order=2, matrix=[[0.5]], p=p),
-                                   BOX, grid),
-        "best_approx": lambda: best_approx(f, np.array([[2.0]]), p, BOX, grid),
+                                     p, box, grid),
+        "modulus": lambda: modulus(
+            f, ModulusSpec(order=2, matrix=0.5 * np.eye(dim), p=p), box, grid),
+        "best_approx": lambda: best_approx(f, 2.0 * np.eye(dim), p, box, grid),
     }
     return calls[name]()
 
@@ -454,6 +454,28 @@ def test_metrics_reject_a_one_point_grid(metric, p):
     # one midpoint is no Riemann sum: every metric refuses it alike
     with pytest.raises(InvalidParams, match="grid must be >= 2 per axis"):
         _metric(metric, p, grid=1)
+
+
+@pytest.mark.parametrize("box", [[[8.0, -8.0]], [[math.nan, 8.0]],
+                                 [[-math.inf, 8.0]]],
+                         ids=["reversed", "nan", "-inf"])
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("metric", ["error_lp", "modulus", "best_approx"])
+def test_metrics_reject_a_box_without_finite_ordered_rows(metric, p, box):
+    # a reversed box gave a negated p = 2 best approximation, and NaN
+    # rows NaN norms, not errors
+    with pytest.raises(InvalidParams, match="box must be"):
+        _metric(metric, p, box=box)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("metric", ["error_lp", "modulus", "best_approx"])
+def test_metrics_take_per_axis_grid_counts(metric, p):
+    box = np.array([[-4.0, 4.0]] * 2)
+    assert _metric(metric, p, (16, 16), box, 2) == _metric(metric, p, 16, box, 2)
+    for grid in ((16, 1), (16,)):
+        with pytest.raises(InvalidParams):
+            _metric(metric, p, grid, box, 2)
 
 
 def test_best_approx_needs_profile():
