@@ -85,7 +85,7 @@ def fourier_symbol(a: AnalysisFunctional, xi):
     elif a.kind == "KernelL1":
         vals = np.asarray(a.kernel.fourier(pts), dtype=complex)
     else:  # Dirac, BoxAverage and MixedTensor
-        vals = np.ones(pts.shape[0], dtype=complex)
+        vals = np.ones(pts.shape[0])
         for ax, tag in enumerate(a.axes):
             if tag == "BoxAverage":
                 vals = vals * np.sinc(pts[:, ax])

@@ -361,6 +361,9 @@ def emit(report: dict, fmt: str = "json") -> str:
     """Any report (a sweep, `condition_report` or `reconstruction_check`) as
     sorted-key JSON, a sweep also as CSV; equal reports give equal bytes."""
     if fmt == "csv":
+        if "rows" not in report:
+            raise InvalidParams("CSV is for sweep reports; emit this report "
+                                "as JSON")
         return _csv_text(report)
     if fmt == "json":
         return json.dumps(report, sort_keys=True, indent=2) + "\n"

@@ -243,7 +243,7 @@ def grid_fourier_sum(grid: GridSpec, axes, weights):
     dense `fourier_sum`."""
     if len(grid.axes) != len(axes):
         raise ValueError(f"grid has {len(grid.axes)} axes, nodes {len(axes)}")
-    w = np.asarray(weights, dtype=complex).reshape([len(xi) for xi in axes])
+    w = np.asarray(weights).reshape([len(xi) for xi in axes])
     for k, (x, xi) in enumerate(zip(grid.axes, axes)):
         w = np.moveaxis(w, k, 0)
         rest = w.shape[1:]
@@ -257,19 +257,21 @@ def _axis_sum(x, xi, w):
     (N, R), for coordinates x (M,) and xi (N,).
 
     On the FFT route (see `grid_fourier_sum`) the nodes split by residue,
-    n = L q + r: each r is a length-K/L FFT over q, read at rows
-    -P m mod K/L and turned by the exact twiddle
-    exp(2 pi i (P m r mod K) / K), formed in integers.  L doubles while K/L
-    still holds the N nodes and the L M twiddles cost no more than one FFT
-    (L M <= K/L).  More than K nodes, a window wider than 1 / h, take the
-    dense sum."""
+    n = L q + r: each r is a length-K/L FFT over its ceil(N/L) <= K/L nodes,
+    read at rows -P m mod K/L and turned by the exact twiddle
+    exp(2 pi i (P m r mod K) / K), formed in integers.  L doubles while the
+    L M twiddles cost no more than one FFT (L M <= K/L).  More than K nodes,
+    a window wider than 1 / h, take the dense sum, as does an axis of 2^26
+    or more points, whose indices m `_turns` cannot take (N <= K <=
+    MAX_BLOCK keeps the node indices below that)."""
     px, pxi = _progression(x), _progression(xi)
     ratio = None
     if px is not None and pxi is not None:
         step, err = _two_product(px[1], pxi[1])
         if err == 0.0:
             ratio = float(step).as_integer_ratio()
-    if ratio is None or ratio[1] > MAX_BLOCK or len(xi) > ratio[1]:
+    if (ratio is None or ratio[1] > MAX_BLOCK or len(xi) > ratio[1]
+            or len(x) >= 2 ** 26):
         return fourier_sum(x[:, None], xi[:, None], w)
     (x0, h), (xi0, dxi), (P, K) = px, pxi, ratio
     M, N = len(x), len(xi)
@@ -277,7 +279,7 @@ def _axis_sum(x, xi, w):
     pre = np.exp(2j * np.pi * _turns(x0, dxi, n))
     post = np.exp(2j * np.pi * (_turns(x0, xi0, 1.0) + _turns(h, xi0, m)))
     L = 1
-    while K // (2 * L) >= N and 2 * L * M <= K // (2 * L):
+    while 2 * L * M <= K // (2 * L):
         L *= 2
     Kr = K // L
     pm = (P % K) * np.arange(M) % K  # P m mod K, exact in integers
@@ -287,10 +289,11 @@ def _axis_sum(x, xi, w):
     out = np.empty((M, w2.shape[1]), dtype=complex)
     cols = max(1, MAX_BLOCK // K)
     for j in range(0, w2.shape[1], cols):
-        a = w2[:, j:j + cols] * pre[:, None]
-        acc = np.fft.fft(a[::L], n=Kr, axis=0)[rows]
+        a = w2[:, j:j + cols]  # pre-phased per residue: no N x cols copy
+        acc = np.fft.fft(a[::L] * pre[::L, None], n=Kr, axis=0)[rows]
         for r in range(1, L):
-            acc += np.fft.fft(a[r::L], n=Kr, axis=0)[rows] * twiddle[r, :, None]
+            acc += np.fft.fft(a[r::L] * pre[r::L, None], n=Kr,
+                              axis=0)[rows] * twiddle[r, :, None]
         out[:, j:j + cols] = acc * post[:, None]
     return out.reshape((M,) + w.shape[1:])
 
@@ -324,11 +327,15 @@ def _split(a):
 
 
 def _turns(a, b, n):
-    """a b n modulo 1, for a scalar b and integer-valued n: the product a b
-    is split exactly (TwoProduct), its high part times n again, and the
-    whole-turn part dropped exactly with fmod before rounding to a float."""
+    """a b n modulo 1, for a scalar b and integer-valued |n| < 2^26: the
+    product a b is split exactly (TwoProduct), its high part times n again
+    (such an n is its own Veltkamp split, so TwoProduct needs only the split
+    of a b), and the whole-turn part dropped exactly with fmod before
+    rounding to a float."""
     ab, ab_lo = _two_product(a, b)
-    p, p_lo = _two_product(ab, n)
+    hi, lo = _split(ab)
+    p = ab * n
+    p_lo = (hi * n - p) + lo * n
     return np.fmod(p, 1.0) + (p_lo + ab_lo * n)
 
 

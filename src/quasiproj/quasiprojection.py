@@ -169,7 +169,8 @@ def spectral_evaluator(spec: OperatorSpec, f: TestFunction):
     The spectrum is sampled on the cells of a midpoint grid over its support
     box S that some shifted box supp f^ - M*^j k reaches; elsewhere the grid
     would sample f^ only beyond its declared box.  Each shift adds its term
-    over those nodes, in `alias_shifts` order.  The returned callable
+    over those nodes, in `alias_shifts` order; the weights are complex only
+    where f^, the analyzer's symbol or phi^ is.  The returned callable
     takes a `GridSpec`, summed per axis by `grid_fourier_sum`, or points
     (n, d), summed by the blocked `fourier_sum`, and returns the complex
     values (row-major on a grid).  With no alias shift it returns zeros.
@@ -199,14 +200,10 @@ def spectral_evaluator(spec: OperatorSpec, f: TestFunction):
     if nodes is not None:
         pts = nodes.points
         base = pts @ Aj_inv.T
-        acc = np.zeros(len(pts), dtype=complex)
-        for k, m in zip(shifts, moved):
-            fhat = np.asarray(f.fourier(pts + m), dtype=complex)
-            sym = np.asarray(fourier_symbol(spec.analyzer, base + k),
-                             dtype=complex)
-            acc += fhat * np.conj(sym)
-        weights = (np.asarray(spec.generator.fourier(base), dtype=complex)
-                   * acc * nodes.cell_volume)
+        acc = sum(f.fourier(pts + m)
+                  * np.conj(fourier_symbol(spec.analyzer, base + k))
+                  for k, m in zip(shifts, moved))
+        weights = spec.generator.fourier(base) * acc * nodes.cell_volume
 
     def evaluator(x):
         if isinstance(x, GridSpec):
@@ -230,6 +227,5 @@ def error_lp(f, approx, p, box, grid: int) -> float:
     its values at the same points, in row-major order.  The grid is
     `norm_grid(box, grid)`."""
     g = norm_grid(box, grid)
-    diff = (np.asarray(f(g.points)).astype(complex)
-            - np.asarray(approx(g)).astype(complex))
+    diff = np.asarray(f(g.points)) - np.asarray(approx(g))
     return grid_lp_norm(diff, g.cell_volume, p)

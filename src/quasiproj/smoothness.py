@@ -36,6 +36,9 @@ class ModulusSpec(Record, Frozen):
         if isinstance(order, bool) or not 0 < order < math.inf:
             raise InvalidParams(f"modulus order must be a finite number > 0, "
                                 f"got {order!r}")
+        if not np.all(np.isfinite(matrix)):
+            raise InvalidParams(f"step matrix must be finite, got "
+                                f"{matrix.tolist()}")
         vars(self).update(order=order, matrix=matrix, p=p)
 
     def _key(self):
@@ -55,7 +58,7 @@ class ModulusResult(Record, Frozen):
 def difference(fn, x, h, s):
     """Order-s difference sum_nu (-1)^nu binom(s, nu) fn(x + nu h) at the rows
     of x (n, d), for an integer s >= 0: (n,) for one step h (d,), (m, n) for
-    a stack of steps h (m, d).
+    a stack of steps h (m, d), real where fn's values are.
 
     The nu = 0 term is one fn call at x; the other stencil points go in
     blocks of whole steps (of row slices, if one step alone passes
@@ -68,8 +71,9 @@ def difference(fn, x, h, s):
     single = steps.ndim == 1
     steps = np.atleast_2d(steps)
     n = x.shape[0]
-    acc = np.zeros((len(steps), n), dtype=complex)
-    acc += np.asarray(fn(x), dtype=complex)
+    base = np.asarray(fn(x))
+    acc = np.zeros((len(steps), n), dtype=np.result_type(base, float))
+    acc += base
     if s == 0:
         return acc[0] if single else acc
     nu = np.arange(1, s + 1)
@@ -80,8 +84,8 @@ def difference(fn, x, h, s):
         moves = nu[:, None] * steps[i:i + width, None]  # (b, s, d)
         for r in range(0, n, rows):
             pts = x[None, None, r:r + rows] + moves[:, :, None]
-            terms = np.asarray(fn(pts.reshape(-1, x.shape[1])),
-                               dtype=complex).reshape(pts.shape[:3])
+            terms = np.asarray(fn(pts.reshape(-1, x.shape[1]))
+                               ).reshape(pts.shape[:3])
             for v in range(s):
                 acc[i:i + width, r:r + rows] += coef[v] * terms[:, v]
     return acc[0] if single else acc
@@ -180,6 +184,7 @@ def best_approx(f: TestFunction, A, p, box, grid: int) -> float:
     if f.fourier is None or f.fourier_support is None:
         raise UnsupportedInput(
             f"{f.name} needs a Fourier profile for best approximation")
+    Astar_inv = inverse(A.T)  # Singular at every p
     d = A.shape[0]
     band = map_box(A.T, [[-0.5, 0.5]] * d)  # A* T^d, A* = A transpose
     if p == 2:
@@ -195,7 +200,6 @@ def best_approx(f: TestFunction, A, p, box, grid: int) -> float:
 
         return converge(root, 32, ORDER_CAPS[min(d, 3) - 1], PROFILE_TOL,
                         "best approximation")
-    Astar_inv = inverse(A.T)
 
     def resid(xi):
         return (1.0 - eta_profile(xi @ Astar_inv.T)) * \
@@ -211,12 +215,15 @@ def best_approx(f: TestFunction, A, p, box, grid: int) -> float:
 
 
 def _check_inputs(f: TestFunction, matrix, box, grid) -> GridSpec:
-    """`norm_grid(box, grid)`, as `error_lp` takes it, for a d x d matrix and
-    a (d, 2) box, d the signal's dimension; InvalidParams otherwise."""
+    """`norm_grid(box, grid)`, as `error_lp` takes it, for a finite d x d
+    matrix and a (d, 2) box, d the signal's dimension; InvalidParams
+    otherwise."""
     d = f.dim
     if matrix.shape != (d, d):
         raise InvalidParams(f"matrix of shape {matrix.shape} does not fit the "
                             f"{d}-D signal {f.name}: expected {(d, d)}")
+    if not np.all(np.isfinite(matrix)):
+        raise InvalidParams(f"matrix must be finite, got {matrix.tolist()}")
     if np.shape(box) != (d, 2):
         raise InvalidParams(f"box of shape {np.shape(box)} does not fit the "
                             f"{d}-D signal {f.name}: expected {(d, 2)}")

@@ -47,6 +47,21 @@ def test_fourier_symbols():
     assert fourier_symbol(mt, np.array([0.3, 0.3])) == pytest.approx(np.sinc(0.3))
 
 
+@pytest.mark.parametrize("a, want", [
+    (make_analyzer("Dirac", 2), lambda xi: np.ones(len(xi))),
+    (make_analyzer("BoxAverage", 2),
+     lambda xi: np.sinc(xi[:, 0]) * np.sinc(xi[:, 1])),
+    (make_analyzer("MixedTensor", 2, axes=("Dirac", "BoxAverage")),
+     lambda xi: np.sinc(xi[:, 1]))],
+    ids=["Dirac", "BoxAverage", "MixedTensor"])
+def test_real_symbols_are_real_arrays(a, want):
+    # the spectral weights stay real where signal, symbol and generator are
+    xi = np.random.default_rng(3).uniform(-2.0, 2.0, size=(9, 2))
+    vals = fourier_symbol(a, xi)
+    assert vals.dtype == np.float64
+    assert np.array_equal(vals, want(xi))
+
+
 def test_alpha_bounds():
     M = make_dilation(np.diag([2.0, 3.0]))
     d10 = make_analyzer("DiracDerivative", 2, beta=(1, 0))

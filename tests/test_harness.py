@@ -292,6 +292,13 @@ def test_reports_are_plain_json_dicts_with_fixed_keys(reports, kind):
     assert emit(report) == emit(report, "json")
 
 
+@pytest.mark.parametrize("kind", ["check", "reconstruct"])
+def test_emit_csv_is_for_sweeps(reports, kind):
+    # a report without rows raised KeyError: 'rows'
+    with pytest.raises(InvalidParams, match="CSV is for sweep reports"):
+        emit(reports[kind], "csv")
+
+
 def test_report_rows_and_rungs_have_fixed_keys(reports):
     rows = reports["rates"]["rows"]
     assert [r["level"] for r in rows] == reports["rates"]["levels"] == [1, 2]

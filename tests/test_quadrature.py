@@ -235,6 +235,19 @@ def test_fourier_sum_blocks_rows(monkeypatch):
     assert fourier_sum(pts[:0], nodes, w).shape == (0,)
 
 
+def test_turns_matches_two_product_below_2_26():
+    # an integer n below 2^26 is its own Veltkamp split, so the one-split
+    # product equals TwoProduct(a b, n) bit for bit
+    rng = np.random.default_rng(7)
+    a, b = rng.uniform(-40.0, 40.0, 2)
+    n = np.concatenate([np.arange(4096.0), rng.integers(0, 2 ** 26, 4096),
+                        [2.0 ** 26 - 1]]).astype(float)
+    ab, ab_lo = quadrature._two_product(a, b)
+    p, p_lo = quadrature._two_product(ab, n)
+    want = np.fmod(p, 1.0) + (p_lo + ab_lo * n)
+    assert np.array_equal(quadrature._turns(a, b, n), want)
+
+
 def _fft_lengths(monkeypatch):
     """Record the transform length and column count of every FFT call."""
     calls = []
@@ -275,6 +288,9 @@ def test_grid_fourier_sum_dirichlet_kernel():
     # box width 12: h dxi = (3/16)(1/32) = 3/512; N = 128 splits into two
     # residues of length 256 (2 x 64 twiddles <= 256)
     (([[-6.0, 6.0]], 64), ([[-2.0, 2.0]], 128), [256, 256]),
+    # h dxi = 1/512: N = 384 splits into two residues of 192 nodes, each a
+    # length-256 FFT (2 x 64 twiddles <= 256), though 384 nodes pass 256
+    (([[-8.0, 8.0]], 64), ([[-1.5, 1.5]], 384), [256, 256]),
     # h dxi = 1/64 with N = 256 > K: a window wider than 1 / h, dense sum
     (([[-8.0, 8.0]], 32), ([[-4.0, 4.0]], 256), []),
     # h = 1/6 has no short binary ratio, and the midpoints of [-0.3, 0.7]
@@ -342,8 +358,10 @@ def test_grid_fourier_sum_blocks(monkeypatch):
 
 def test_sinc_sweep_ffts_stay_within_the_node_window(monkeypatch):
     # the shipped rates_sinc_box sweep at grid 1024: each level's 4096 to
-    # 9216 nodes split by residue, so no FFT passes 16384 points (it took a
-    # 65536-point FFT when the window was padded to K)
+    # 9216 nodes split by residue, sized by the nodes a residue holds, so
+    # every FFT has 8192 points (levels 5 and 6 took 16384 when a residue
+    # was sized for all the nodes, and 65536 when the window was padded to
+    # K)
     from quasiproj.harness import ExperimentConfig, run_experiment
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     with open(os.path.join(root, "scripts", "configs",
@@ -352,13 +370,13 @@ def test_sinc_sweep_ffts_stay_within_the_node_window(monkeypatch):
     raw["experiment"]["grid"] = 1024
     calls = _fft_lengths(monkeypatch)
     run_experiment(ExperimentConfig.from_dict(raw))
-    assert calls and max(n for n, _ in calls) <= 16384
+    assert calls and {n for n, _ in calls} == {8192}
 
 
 def test_error_lp_grid_route_matches_point_route():
     f = gaussian(1)
     box = [[-8.0, 8.0]]
-    for level in range(2, 6):
+    for level in range(2, 7):
         spec = OperatorSpec(
             make_generator("TensorSincPower", {"n": 1, "a": 1.0}, 1),
             make_analyzer("BoxAverage", 1), make_dilation([[2.0]]), level)

@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from quasiproj.errors import InvalidParams, QuadratureFailure, UnsupportedInput
+from quasiproj.errors import (InvalidParams, QuadratureFailure, Singular,
+                              UnsupportedInput)
 from quasiproj.functions import (PROFILE_TOL, TestFunction, band_bump,
                                  gaussian, hat_tensor)
 from quasiproj import quadrature
@@ -37,6 +39,20 @@ def test_second_difference_of_square_is_2h2():
 def test_difference_needs_integer_order(s):
     with pytest.raises(InvalidParams, match="integer order"):
         difference(_poly_square().spatial, np.zeros((1, 1)), np.array([0.1]), s)
+
+
+@pytest.mark.parametrize("s", [0, 2])
+def test_difference_keeps_the_signal_dtype(s):
+    # a real signal gives real differences; a complex one complex
+    f = gaussian(1)
+    x = np.linspace(-3.0, 3.0, 7)[:, None]
+    steps = np.array([[0.25], [-0.5]])
+    got = difference(f.spatial, x, steps, s)
+    assert got.dtype == np.float64 and got.shape == (2, 7)
+    assert np.array_equal(got.real, difference(
+        lambda pts: f.spatial(pts).astype(complex), x, steps, s))
+    complex_diff = difference(lambda pts: f.spatial(pts) * 1j, x, steps, s)
+    assert complex_diff.dtype == np.complex128
 
 
 @pytest.mark.parametrize("s", [1, 2, 3])
@@ -422,6 +438,30 @@ def test_best_approx_dropping_inner_cells_keeps_the_value(A, p):
 def test_metrics_reject_shapes_that_miss_the_signal(call, shapes):
     with pytest.raises(InvalidParams, match=shapes):
         call()
+
+
+def _best(matrix, p):
+    return best_approx(gaussian(1), matrix, p, BOX, 64)
+
+
+def _modulus(matrix, p):
+    return modulus(gaussian(1), ModulusSpec(2, matrix, p), BOX, 64)
+
+
+@pytest.mark.parametrize("call, matrix, error, match", [
+    (call, matrix, InvalidParams, "must be finite")
+    for call in (_best, _modulus) for matrix in ([[math.nan]], [[math.inf]])
+] + [(_best, [[0.0]], Singular, "singular")],
+    ids=["best-nan", "best-inf", "modulus-nan", "modulus-inf", "best-singular"])
+@pytest.mark.parametrize("p", [1, 2])
+def test_metrics_check_the_step_matrix(call, matrix, error, match, p):
+    # a NaN or infinite matrix gave a silent 0.0 best approximation at
+    # p = 2, a NaN or plausible modulus, and a RuntimeWarning before
+    # Singular at p = 1; a singular one gave a p = 2 value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(error, match=match):
+            call(matrix, p)
 
 
 def _metric(name, p, grid=64, box=BOX, dim=1):
